@@ -224,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="trajectories simulated per vectorized chunk (default "
-        "4096; one RNG stream per chunk, so a non-default size "
-        "changes the sampled trajectories and the study cache key)",
+        help="cap on the trajectories of one vectorized chunk (default "
+        "16384); a study runs ceil(runs/N) near-equal chunks with one "
+        "RNG stream each, so N changes the sampled trajectories and "
+        "the study cache key, while --processes changes neither",
     )
 
     render = sub.add_parser(

@@ -52,6 +52,7 @@ from repro.simulation.parallel import (
 from repro.simulation.trace import ComponentEvent, Trajectory
 from repro.simulation.vectorized import (
     VectorizedKernel,
+    chunk_plan,
     iter_vectorized_batches,
     simulate_batch_columns_vectorized,
     vectorized_fallback_reason,
@@ -72,6 +73,7 @@ __all__ = [
     "TrajectoryBatch",
     "VectorizedKernel",
     "availability_curve",
+    "chunk_plan",
     "compare_kernels",
     "default_process_count",
     "iter_vectorized_batches",

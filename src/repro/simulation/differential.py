@@ -136,7 +136,7 @@ def compare_kernels(
     """
     from repro.maintenance.costs import CostModel
     from repro.simulation.executor import FMTSimulator, SimulationConfig
-    from repro.simulation.parallel import simulate_batch_columns
+    from repro.simulation.montecarlo import MonteCarlo
     from repro.simulation.vectorized import vectorized_fallback_reason
 
     if n_runs < 2:
@@ -155,11 +155,11 @@ def compare_kernels(
         )
         if kernel == "vectorized":
             fallback = vectorized_fallback_reason(simulator)
-        # Same root seed on both sides, spawned exactly like a
-        # MonteCarlo driver would, so the object column equals a
-        # kernel="object" run bit for bit.
-        seeds = np.random.SeedSequence(seed).spawn(n_runs)
-        batches[kernel] = simulate_batch_columns(simulator, seeds)
+        # Same root seed on both sides, run by a MonteCarlo driver, so
+        # each column equals that kernel's run() bit for bit.
+        batches[kernel] = (
+            MonteCarlo(simulator=simulator, seed=seed).run(n_runs).batch
+        )
 
     obj, vec = batches["object"], batches["vectorized"]
     ks_results = tuple(

@@ -76,13 +76,16 @@ _PRIO_REPAIR = 2
 _PRIO_INSPECTION = 3
 _PRIO_ACTION = 4
 
-#: Default trajectories simulated per lockstep pass of the vectorized
-#: kernel.  Large enough to amortize the per-epoch numpy dispatch
-#: overhead, small enough that the per-event jump matrices stay
-#: cache-friendly (~1 MB per 4096-row chunk on the EI-joint model).
-#: Lives here (not in :mod:`repro.simulation.vectorized`) so the config
-#: dataclass can reference it without a circular import.
-DEFAULT_CHUNK_TRAJECTORIES = 4096
+#: Default cap on the rows of one lockstep chunk of the vectorized
+#: kernel.  Each chunk pays ~0.7-1.0 ms of numpy dispatch per
+#: inspection epoch whatever its row count, and the cost per row holds
+#: or falls up to ~20 000 rows, while chunk state costs ~1 KB per row
+#: (~15 MB at this cap on the EI-joint model).  A 20 000-run study is therefore
+#: two chunks of 10 000 rows (see
+#: :func:`repro.simulation.vectorized.chunk_plan`).  Lives here (not in
+#: :mod:`repro.simulation.vectorized`) so the config dataclass can
+#: reference it without a circular import.
+DEFAULT_CHUNK_TRAJECTORIES = 16384
 
 
 @dataclass(frozen=True)
@@ -120,12 +123,14 @@ class SimulationConfig:
         component-level events (``record_events`` requires
         ``"object"``).
     chunk_trajectories:
-        Trajectories per lockstep pass of the vectorized kernel
-        (ignored by the object kernel).  Any integer >= 1 is accepted —
-        powers of two are not required.  The vectorized kernel's
-        results are not invariant to this value (each chunk draws its
-        own seed stream), so the study cache key folds it in whenever
-        it differs from the default.
+        Cap on the rows of one lockstep chunk of the vectorized kernel
+        (ignored by the object kernel).  Any integer >= 1 is accepted.
+        An ``n``-run study runs ``ceil(n / chunk_trajectories)`` chunks
+        of near-equal size, each drawing from its own child stream of
+        the root seed (:func:`repro.simulation.vectorized.chunk_plan`),
+        serially or on any number of worker processes alike.  Results
+        are not invariant to this value, so the study cache key folds
+        it in for every vectorized study.
     """
 
     horizon: float

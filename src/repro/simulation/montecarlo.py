@@ -2,8 +2,9 @@
 
 :class:`MonteCarlo` owns the reproducibility story: a single integer
 seed expands via :class:`numpy.random.SeedSequence` into one independent
-RNG stream per trajectory, so results are invariant to batching and
-fully reproducible.
+RNG stream per trajectory (object engine) or per lockstep chunk of the
+study's chunk plan (vectorized kernel), so results are invariant to
+batching and to the process count, and fully reproducible.
 
 Two modes are provided: a fixed replication count (:meth:`MonteCarlo.run`)
 and sequential estimation to a target relative precision
@@ -46,6 +47,11 @@ from repro.simulation.metrics import (
     summarize,
 )
 from repro.simulation.trace import Trajectory
+from repro.simulation.vectorized import (
+    VectorizedKernel,
+    chunk_plan,
+    runs_lockstep,
+)
 from repro.stats.confidence import ConfidenceInterval
 from repro.stats.sequential import RelativePrecisionRule, RunningStatistics
 
@@ -163,9 +169,10 @@ class MonteCarlo:
         (:meth:`sample`, :meth:`run_to_precision`, rare-event
         estimation) always use the object engine.
     chunk_trajectories:
-        Lockstep chunk size for the vectorized kernel (see
-        :class:`~repro.simulation.executor.SimulationConfig`).  ``None``
-        (the default) keeps the prototype's / config default value.
+        Cap on the rows of one lockstep chunk of the vectorized kernel
+        (see :class:`~repro.simulation.executor.SimulationConfig`).
+        ``None`` (the default) keeps the prototype's / config default
+        value.
     """
 
     def __init__(
@@ -250,6 +257,20 @@ class MonteCarlo:
         child = self._seed_sequence.spawn(1)[0]
         self._streams_used += 1
         return np.random.default_rng(child)
+
+    def _chunk_items(
+        self, n_runs: int
+    ) -> List[Tuple[int, np.random.SeedSequence]]:
+        """The lockstep study's ``(size, seed)`` chunk items.
+
+        Sizes follow :func:`~repro.simulation.vectorized.chunk_plan`;
+        chunk ``i`` draws from the ``i``-th of ``k`` children spawned
+        in one call, on whichever process runs it.
+        """
+        sizes = chunk_plan(n_runs, self.simulator.config.chunk_trajectories)
+        seeds = self._seed_sequence.spawn(len(sizes))
+        self._streams_used += len(sizes)
+        return list(zip(sizes, seeds))
 
     def _resolve_instrumentation(self) -> Optional[Instrumentation]:
         """Explicit instrumentation, else the simulator's, else ambient."""
@@ -378,16 +399,21 @@ class MonteCarlo:
                     ),
                     progress=reporter,
                 )
-            seeds = self._seed_sequence.spawn(n_runs)
-            self._streams_used += n_runs
-            vectorized = self.simulator.config.kernel == "vectorized"
-            if vectorized or (
+            lockstep = runs_lockstep(self.simulator)
+            if lockstep:
+                # One (size, seed) item per chunk of the study's plan:
+                # the same items, in the same order, as a serial run().
+                seeds = self._chunk_items(n_runs)
+            else:
+                seeds = self._seed_sequence.spawn(n_runs)
+                self._streams_used += n_runs
+            if lockstep or (
                 not keep_trajectories
                 and not self.simulator.config.record_events
             ):
                 # Compact IPC: workers reduce trajectories to KPI columns
                 # and the driver never materializes the object list.  The
-                # vectorized kernel always takes this path (its native
+                # lockstep kernel always takes this path (its native
                 # output is columns); kept trajectories are then rebuilt
                 # from the batch.
                 batch = sample_parallel_batch(
@@ -442,10 +468,12 @@ class MonteCarlo:
         with _spans.span(
             "mc.run", {"n_runs": n_runs, "keep_trajectories": keep_trajectories}
         ):
-            if self.simulator.config.kernel == "vectorized":
+            if runs_lockstep(self.simulator):
                 return self._run_vectorized(
                     n_runs, confidence, keep_trajectories, reporter
                 )
+            # The object engine; vectorized-kernel models that fall back
+            # run here too, bit-identical to kernel="object".
             if reporter is None:
                 if keep_trajectories:
                     trajectories = self.sample(n_runs)
@@ -507,14 +535,12 @@ class MonteCarlo:
         keep_trajectories: bool,
         reporter: Optional[ProgressReporter],
     ) -> MonteCarloResult:
-        """:meth:`run` body for ``kernel="vectorized"``.
+        """:meth:`run` body for models on the lockstep kernel.
 
-        Fully vectorizable models consume one child seed stream per
-        lockstep *chunk* (of the configured ``chunk_trajectories``) —
-        spawning a stream per trajectory costs more than the kernel
-        spends simulating one.  Non-vectorizable models spawn per
-        trajectory exactly like the object path and loop the object
-        engine (bit-identical to ``kernel="object"``).  Chunks stream
+        Runs the study's chunk items (:meth:`_chunk_items`): one child
+        seed stream per lockstep *chunk* — spawning a stream per
+        trajectory costs more than the kernel spends simulating one —
+        exactly as :meth:`run_parallel` dispatches them.  Chunks stream
         straight into the accumulator; progress events fire at chunk
         boundaries and, for watched runs, from inside the chunk loop at
         calendar-fraction granularity, throttled to the same cadence as
@@ -522,12 +548,6 @@ class MonteCarlo:
         callback never touches the RNG, so watched and silent runs are
         bit-identical.
         """
-        from repro.simulation.vectorized import (
-            VectorizedKernel,
-            iter_vectorized_batches,
-            vectorized_fallback_reason,
-        )
-
         if n_runs < 1:
             raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
         accumulator = TrajectoryAccumulator(horizon=self.horizon)
@@ -551,46 +571,33 @@ class MonteCarlo:
                 )
             )
 
-        if vectorized_fallback_reason(self.simulator) is None:
-            kernel = VectorizedKernel(self.simulator)
-            chunk = self.simulator.config.chunk_trajectories
-            n_chunks = -(-n_runs // chunk)
-            chunk_seeds = self._seed_sequence.spawn(n_chunks)
-            self._streams_used += n_chunks
-            instr = self._resolve_instrumentation()
-            step = self._progress_step(n_runs)
-            for seed in chunk_seeds:
-                size = min(chunk, n_runs - done)
-                callback = None
-                if reporter is not None:
-                    # Map the kernel's calendar fraction to equivalent
-                    # completed trajectories; emit at the object path's
-                    # cadence, leaving the boundary event to report().
-                    state = {"next": done + step}
-                    base, span = done, size
+        kernel = VectorizedKernel(self.simulator)
+        instr = self._resolve_instrumentation()
+        step = self._progress_step(n_runs)
+        for size, seed in self._chunk_items(n_runs):
+            callback = None
+            if reporter is not None:
+                # Map the kernel's calendar fraction to equivalent
+                # completed trajectories; emit at the object path's
+                # cadence, leaving the boundary event to report().
+                state = {"next": done + step}
+                base, span = done, size
 
-                    def callback(frac, state=state, base=base, span=span):
-                        equivalent = base + int(span * frac)
-                        if equivalent >= state["next"] and equivalent < base + span:
-                            state["next"] = equivalent + step
-                            report(equivalent)
+                def callback(frac, state=state, base=base, span=span):
+                    equivalent = base + int(span * frac)
+                    if equivalent >= state["next"] and equivalent < base + span:
+                        state["next"] = equivalent + step
+                        report(equivalent)
 
-                accumulator.add_batch(
-                    kernel.simulate_chunk(
-                        size, np.random.default_rng(seed), progress=callback
-                    )
+            accumulator.add_batch(
+                kernel.simulate_chunk(
+                    size, np.random.default_rng(seed), progress=callback
                 )
-                if instr is not None:
-                    instr.count(_obs.SIM_TRAJECTORIES, size)
-                done += size
-                report(done)
-        else:
-            seeds = self._seed_sequence.spawn(n_runs)
-            self._streams_used += n_runs
-            for batch_chunk in iter_vectorized_batches(self.simulator, seeds):
-                accumulator.add_batch(batch_chunk)
-                done += len(batch_chunk)
-                report(done)
+            )
+            if instr is not None:
+                instr.count(_obs.SIM_TRAJECTORIES, size)
+            done += size
+            report(done)
         batch = accumulator.finalize()
         summary = self._summarize(batch, confidence)
         if keep_trajectories:

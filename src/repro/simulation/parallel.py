@@ -7,9 +7,15 @@ run would use them, so ``run_parallel`` returns **bit-identical KPIs**
 to :meth:`repro.simulation.montecarlo.MonteCarlo.run` with the same
 seed (the test suite asserts this).
 
-The simulator object is pickled once per worker; per-trajectory work
-ships only a :class:`numpy.random.SeedSequence`.  Results come back in
-one of two shapes:
+The simulator object is pickled once per worker; tasks ship only seed
+items.  The object engine takes one
+:class:`numpy.random.SeedSequence` per trajectory, several to a task.
+The lockstep kernel takes ``(size, seed)`` chunk items, one to a task:
+the driver fixes the chunk plan
+(:func:`~repro.simulation.vectorized.chunk_plan`) and the chunk seeds
+before dispatch, and the pool balances load by chunk count, never by
+resizing chunks — so the plan, and the bytes, do not depend on the
+process count.  Results come back in one of two shapes:
 
 * :func:`sample_parallel` — full :class:`~repro.simulation.trace.
   Trajectory` object lists (needed when events or the objects
@@ -62,6 +68,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError, ValidationError
+from repro.observability import instrumentation as _obs
 from repro.observability.instrumentation import (
     SIM_WORKER_PREFIX,
     SIM_WORKERS,
@@ -79,6 +86,7 @@ from repro.simulation.shm import (
     write_chunk_batch,
 )
 from repro.simulation.trace import Trajectory
+from repro.simulation.vectorized import VectorizedKernel, runs_lockstep
 
 __all__ = [
     "simulate_batch",
@@ -150,26 +158,43 @@ def simulate_batch(
     ]
 
 
+def _rows(seeds: Sequence) -> int:
+    """Trajectories a task's seed items stand for (see
+    :func:`simulate_batch_columns`)."""
+    return sum(item[0] if isinstance(item, tuple) else 1 for item in seeds)
+
+
 def simulate_batch_columns(
-    simulator: FMTSimulator, seeds: Sequence[np.random.SeedSequence]
+    simulator: FMTSimulator, seeds: Sequence
 ) -> TrajectoryBatch:
-    """Simulate one trajectory per seed, reduced to batch columns.
+    """Simulate ``seeds``' trajectories, reduced to batch columns.
 
-    Each trajectory object is folded into the accumulator as soon as
-    it is produced and becomes garbage immediately — resident memory
-    is one trajectory plus the columns, regardless of ``len(seeds)``.
-
-    With ``SimulationConfig(kernel="vectorized")`` the chunk is routed
-    through the lockstep kernel instead (which itself falls back to the
-    object engine for non-vectorizable models) — this is the single
-    dispatch point shared by the in-process path and every worker
-    entrypoint.
+    This is the single dispatch point shared by the in-process path and
+    every worker entry point.  When the simulator runs the lockstep
+    kernel (:func:`~repro.simulation.vectorized.runs_lockstep`), each
+    item is a ``(size, seed)`` chunk item: ``size`` trajectories
+    simulated as one chunk drawing from ``default_rng(seed)`` (a bare
+    ``SeedSequence`` is a one-row chunk).  Otherwise — the object
+    kernel, or a vectorized-kernel model that falls back — each item
+    is one trajectory's ``SeedSequence``, and each trajectory object is
+    folded into the accumulator as soon as it is produced: resident
+    memory is one trajectory plus the columns, regardless of
+    ``len(seeds)``.
     """
-    if simulator.config.kernel == "vectorized":
-        from repro.simulation.vectorized import simulate_batch_columns_vectorized
-
-        return simulate_batch_columns_vectorized(simulator, seeds)
     accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
+    if runs_lockstep(simulator):
+        kernel = VectorizedKernel(simulator)
+        instr = simulator.config.instrumentation
+        if instr is None:
+            instr = _obs.current()
+        for item in seeds:
+            size, seed = item if isinstance(item, tuple) else (1, item)
+            accumulator.add_batch(
+                kernel.simulate_chunk(size, np.random.default_rng(seed))
+            )
+            if instr is not None:
+                instr.count(_obs.SIM_TRAJECTORIES, size)
+        return accumulator.finalize()
     simulate = simulator.simulate
     add = accumulator.add
     for seed in seeds:
@@ -182,15 +207,13 @@ def _worker_batch(seeds: Sequence[np.random.SeedSequence]) -> List[Trajectory]:
     return simulate_batch(_WORKER_SIMULATOR, seeds)
 
 
-def _worker_batch_columns(
-    seeds: Sequence[np.random.SeedSequence],
-) -> TrajectoryBatch:
+def _worker_batch_columns(seeds: Sequence) -> TrajectoryBatch:
     assert _WORKER_SIMULATOR is not None
     return simulate_batch_columns(_WORKER_SIMULATOR, seeds)
 
 
 def _worker_batch_columns_shm(
-    task: Tuple[Sequence[np.random.SeedSequence], ShmChunkSpec],
+    task: Tuple[Sequence, ShmChunkSpec],
 ):
     assert _WORKER_SIMULATOR is not None
     seeds, spec = task
@@ -261,7 +284,7 @@ class WorkerTelemetry:
 
 def _run_chunk_with_telemetry(
     simulator: FMTSimulator,
-    seeds: Sequence[np.random.SeedSequence],
+    seeds: Sequence,
     extras: ChunkExtras,
 ) -> ChunkResult:
     """Worker-side chunk execution with per-chunk telemetry.
@@ -272,6 +295,7 @@ def _run_chunk_with_telemetry(
     double counting.  Strictly passive: the trajectories are the same
     with or without collection.
     """
+    rows = _rows(seeds)
     span = None
     if extras.span_parent is not None:
         span = Span.start(
@@ -279,7 +303,7 @@ def _run_chunk_with_telemetry(
             parent=extras.span_parent,
             attributes={
                 "chunk": extras.chunk_index,
-                "n_trajectories": len(seeds),
+                "n_trajectories": rows,
                 "pid": os.getpid(),
             },
         )
@@ -307,13 +331,13 @@ def _run_chunk_with_telemetry(
         registry=registry,
         span=span.end().to_dict() if span is not None else None,
         pid=os.getpid(),
-        n_trajectories=len(seeds),
+        n_trajectories=rows,
         seconds=seconds,
     )
 
 
 def _worker_chunk_telemetry(
-    task: Tuple[Sequence[np.random.SeedSequence], ChunkExtras],
+    task: Tuple[Sequence, ChunkExtras],
 ) -> ChunkResult:
     assert _WORKER_SIMULATOR is not None
     seeds, extras = task
@@ -349,14 +373,14 @@ def _shared_worker_batch(
 
 
 def _shared_worker_batch_columns(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence]],
+    payload: Tuple[str, bytes, Sequence],
 ) -> TrajectoryBatch:
     digest, blob, seeds = payload
     return simulate_batch_columns(_shared_simulator(digest, blob), seeds)
 
 
 def _shared_worker_batch_columns_shm(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence], ShmChunkSpec],
+    payload: Tuple[str, bytes, Sequence, ShmChunkSpec],
 ):
     digest, blob, seeds, spec = payload
     return write_chunk_batch(
@@ -365,7 +389,7 @@ def _shared_worker_batch_columns_shm(
 
 
 def _shared_worker_chunk_telemetry(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence], ChunkExtras],
+    payload: Tuple[str, bytes, Sequence, ChunkExtras],
 ) -> ChunkResult:
     digest, blob, seeds, extras = payload
     return _run_chunk_with_telemetry(_shared_simulator(digest, blob), seeds, extras)
@@ -429,19 +453,17 @@ class SharedSimulationPool:
 
 
 def _chunk_seeds(
-    seeds: Sequence[np.random.SeedSequence],
-    processes: int,
-    chunk_size: Optional[int],
-) -> Tuple[List[Sequence[np.random.SeedSequence]], int]:
+    seeds: Sequence, processes: int, chunk_size: Optional[int]
+) -> List[Sequence]:
+    """Split seed items into tasks of ``chunk_size`` items each."""
     if chunk_size is None:
         chunk_size = max(1, len(seeds) // (processes * 4))
     elif chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-    chunks = [
+    return [
         seeds[start:start + chunk_size]
         for start in range(0, len(seeds), chunk_size)
     ]
-    return chunks, chunk_size
 
 
 class _TelemetryFold:
@@ -504,13 +526,11 @@ class _TelemetryFold:
 
 def _dispatch_chunks(
     simulator: FMTSimulator,
-    seeds: Sequence[np.random.SeedSequence],
+    chunks: List[Sequence],
     processes: int,
-    chunk_size: Optional[int],
     pool: Optional[SharedSimulationPool],
     as_batch: bool,
     telemetry: Optional[WorkerTelemetry] = None,
-    prechunked: Optional[List[Sequence[np.random.SeedSequence]]] = None,
     shm_writer: Optional[ShmBatchWriter] = None,
 ) -> Iterator:
     """Yield per-chunk worker payloads in seed order.
@@ -528,26 +548,22 @@ def _dispatch_chunks(
     """
     if telemetry is not None and not telemetry.active:
         telemetry = None
-    if prechunked is not None:
-        chunks = prechunked
-    else:
-        chunks, chunk_size = _chunk_seeds(seeds, processes, chunk_size)
+    rows = [_rows(chunk) for chunk in chunks]
+    total = sum(rows)
     logger.debug(
         kv(
             "sample_parallel dispatch",
-            trajectories=len(seeds),
+            trajectories=total,
             processes=processes,
             chunks=len(chunks),
-            chunk_size=max(len(chunk) for chunk in chunks) if chunks else 0,
+            chunk_rows=max(rows) if rows else 0,
             shared=pool is not None,
             as_batch=as_batch,
             telemetry=telemetry is not None,
             shm=shm_writer is not None,
         )
     )
-    fold = (
-        _TelemetryFold(telemetry, len(seeds)) if telemetry is not None else None
-    )
+    fold = _TelemetryFold(telemetry, total) if telemetry is not None else None
     extras = None
     if telemetry is not None:
         extras = [
@@ -587,7 +603,7 @@ def _dispatch_chunks(
                     else _shared_worker_batch
                 )
             for index, result in enumerate(pool.executor().map(worker, payloads)):
-                completed += len(chunks[index])
+                completed += rows[index]
                 yield fold.fold(result) if fold is not None else result
         else:
             with ProcessPoolExecutor(
@@ -608,7 +624,7 @@ def _dispatch_chunks(
                     tasks = chunks
                     worker = _worker_batch_columns if as_batch else _worker_batch
                 for index, result in enumerate(executor.map(worker, tasks)):
-                    completed += len(chunks[index])
+                    completed += rows[index]
                     yield fold.fold(result) if fold is not None else result
         if fold is not None:
             fold.finish()
@@ -620,12 +636,12 @@ def _dispatch_chunks(
                 "worker process crashed",
                 processes=processes,
                 completed=completed,
-                total=len(seeds),
+                total=total,
             )
         )
         raise SimulationError(
             "a Monte Carlo worker process terminated abruptly "
-            f"(completed {completed}/{len(seeds)} trajectories); "
+            f"(completed {completed}/{total} trajectories); "
             "rerun with processes=1 to reproduce the failure in-process"
         ) from exc
 
@@ -662,8 +678,8 @@ def sample_parallel(
         return simulate_batch(simulator, seeds)
     results: List[Trajectory] = []
     for chunk in _dispatch_chunks(
-        simulator, seeds, processes, chunk_size, pool, as_batch=False,
-        telemetry=telemetry,
+        simulator, _chunk_seeds(seeds, processes, chunk_size), processes,
+        pool, as_batch=False, telemetry=telemetry,
     ):
         results.extend(chunk)
     return results
@@ -671,7 +687,7 @@ def sample_parallel(
 
 def sample_parallel_batch(
     simulator: FMTSimulator,
-    seeds: Sequence[np.random.SeedSequence],
+    seeds: Sequence,
     processes: int,
     chunk_size: Optional[int] = None,
     pool: Optional[SharedSimulationPool] = None,
@@ -685,6 +701,13 @@ def sample_parallel_batch(
     columns (and hence every KPI computed from them) are bit-identical
     to ``TrajectoryBatch.from_trajectories(sample_parallel(...))``,
     while resident memory stays O(columns).
+
+    ``seeds`` holds the seed items of :func:`simulate_batch_columns`,
+    and the result equals ``simulate_batch_columns(simulator, seeds)``
+    whatever ``processes`` and ``chunk_size``.  ``chunk_size`` counts
+    items per task; for a lockstep simulator it defaults to one
+    ``(size, seed)`` chunk item per task, so the pool balances load by
+    chunk count.
 
     By default (``use_shared_memory=None`` → on where supported) the
     columns never ride the result pipe at all: the driver pre-sizes one
@@ -702,27 +725,16 @@ def sample_parallel_batch(
         raise ValidationError(f"processes must be >= 1, got {processes}")
     if processes == 1:
         return simulate_batch_columns(simulator, seeds)
-    if chunk_size is None and simulator.config.kernel == "vectorized":
-        from repro.simulation.vectorized import vectorized_fallback_reason
-
-        if vectorized_fallback_reason(simulator) is None:
-            # Lockstep workers amortize per-chunk costs (kernel
-            # compile, epoch table walk) over chunk rows, so the 4x
-            # oversubscription that load-balances object workers only
-            # shrinks their chunks.  One chunk per worker, capped at
-            # the configured lockstep chunk size.
-            chunk_size = min(
-                simulator.config.chunk_trajectories,
-                -(-len(seeds) // processes),
-            ) or 1
-    chunks, _ = _chunk_seeds(seeds, processes, chunk_size)
+    if chunk_size is None and runs_lockstep(simulator):
+        chunk_size = 1
+    chunks = _chunk_seeds(seeds, processes, chunk_size)
     writer = None
     if use_shared_memory is None:
         use_shared_memory = shared_memory_available()
     if use_shared_memory and shared_memory_available():
         try:
             writer = ShmBatchWriter(
-                simulator.config.horizon, [len(chunk) for chunk in chunks]
+                simulator.config.horizon, [_rows(chunk) for chunk in chunks]
             )
         except OSError as exc:  # pragma: no cover - constrained /dev/shm
             logger.warning(
@@ -733,16 +745,15 @@ def sample_parallel_batch(
         if writer is not None:
             handles = list(
                 _dispatch_chunks(
-                    simulator, seeds, processes, chunk_size, pool,
-                    as_batch=True, telemetry=telemetry, prechunked=chunks,
-                    shm_writer=writer,
+                    simulator, chunks, processes, pool, as_batch=True,
+                    telemetry=telemetry, shm_writer=writer,
                 )
             )
             return writer.finalize(handles)
         accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
         for chunk in _dispatch_chunks(
-            simulator, seeds, processes, chunk_size, pool, as_batch=True,
-            telemetry=telemetry, prechunked=chunks,
+            simulator, chunks, processes, pool, as_batch=True,
+            telemetry=telemetry,
         ):
             accumulator.add_batch(chunk)
         return accumulator.finalize()

@@ -31,23 +31,28 @@ instead — bit-identical to the plain object path, which stays the
 correctness oracle (see :mod:`repro.simulation.differential` for the
 distributional-equivalence harness).
 
-Determinism: for a fixed chunk layout the kernel is a pure function of
-the model and the seed sequence (chunk ``i`` draws from a child of its
-first seed).  Results are *distributionally* equivalent to — but not
-bit-identical with — the object engine, and they are not invariant to
-the chunk size.  Studies that need bit-level reproducibility against
-golden fixtures keep ``kernel="object"``.
+Determinism: a study of ``n_runs`` trajectories runs the chunk plan
+:func:`chunk_plan` ``(n_runs, chunk_trajectories)`` — ``k =
+ceil(n_runs / chunk_trajectories)`` chunks of near-equal size — and
+chunk ``i`` draws from ``default_rng(root.spawn(k)[i])``.  The plan
+never depends on the process count, so serial and pooled runs of one
+study return the same bytes.  Results are *distributionally*
+equivalent to — but not bit-identical with — the object engine, and
+they are not invariant to the chunk size.  Studies that need
+bit-level reproducibility against golden fixtures keep
+``kernel="object"``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.gates import OrGate, PandGate, VotingGate
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.observability import instrumentation as _obs
 from repro.simulation.batch import COST_FIELDS, TrajectoryAccumulator, TrajectoryBatch
 from repro.simulation.executor import DEFAULT_CHUNK_TRAJECTORIES, FMTSimulator
@@ -55,7 +60,9 @@ from repro.simulation.executor import DEFAULT_CHUNK_TRAJECTORIES, FMTSimulator
 __all__ = [
     "DEFAULT_CHUNK_TRAJECTORIES",
     "VectorizedKernel",
+    "chunk_plan",
     "iter_vectorized_batches",
+    "runs_lockstep",
     "simulate_batch_columns_vectorized",
     "vectorized_fallback_reason",
 ]
@@ -78,10 +85,9 @@ def vectorized_fallback_reason(simulator: FMTSimulator) -> Optional[str]:
     """Why ``simulator``'s model cannot run on the lockstep kernel.
 
     Returns None when the model is fully vectorizable, otherwise a
-    human-readable reason.  The driver (:func:`iter_vectorized_batches`)
-    falls back to the object engine — the oracle — for any non-None
-    reason, so a conservative classification costs throughput, never
-    correctness.
+    human-readable reason.  The drivers run the object engine — the
+    oracle — for any non-None reason, so a conservative classification
+    costs throughput, never correctness.
     """
     tree = simulator.tree
     events = simulator._events
@@ -120,6 +126,41 @@ def vectorized_fallback_reason(simulator: FMTSimulator) -> Optional[str]:
                         "flip times)"
                     )
     return None
+
+
+def runs_lockstep(simulator: FMTSimulator) -> bool:
+    """Whether ``simulator``'s batches run on the lockstep kernel.
+
+    True for ``kernel="vectorized"`` simulators whose model vectorizes.
+    Everything else — including vectorized-kernel simulators whose
+    model falls back — runs the object engine with one seed per
+    trajectory, bit-identical to ``kernel="object"``.
+    """
+    return (
+        simulator.config.kernel == "vectorized"
+        and vectorized_fallback_reason(simulator) is None
+    )
+
+
+def chunk_plan(n_runs: int, chunk_trajectories: int) -> List[int]:
+    """Row counts of the lockstep chunks of an ``n_runs`` study.
+
+    ``ceil(n_runs / chunk_trajectories)`` chunks whose sizes differ by
+    at most one (larger chunks first), so no chunk exceeds
+    ``chunk_trajectories`` and no chunk is a small remainder.  The
+    plan is a pure function of its two arguments: chunk ``i`` draws
+    from the ``i``-th of ``len(plan)`` streams spawned from the study's
+    root seed whether it runs in-process or on any pool worker.
+    """
+    if n_runs < 1:
+        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+    if chunk_trajectories < 1:
+        raise ValidationError(
+            f"chunk_trajectories must be >= 1, got {chunk_trajectories}"
+        )
+    k = -(-n_runs // chunk_trajectories)
+    base, extra = divmod(n_runs, k)
+    return [base + 1] * extra + [base] * (k - extra)
 
 
 # ----------------------------------------------------------------------
@@ -1262,25 +1303,24 @@ class VectorizedKernel:
 
 
 # ----------------------------------------------------------------------
-# Batch drivers
+# Deprecated per-trajectory-seed drivers
 # ----------------------------------------------------------------------
-def iter_vectorized_batches(
+def _warn_seed_driver(name: str) -> None:
+    warnings.warn(
+        f"repro.simulation.{name} is deprecated: it seeds each lockstep "
+        "chunk from its first per-trajectory seed, so results depend on "
+        "how the seeds are chunked; use MonteCarlo(kernel='vectorized') "
+        "or simulate_batch_columns with (size, seed) chunk items",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+
+
+def _iter_seed_chunks(
     simulator: FMTSimulator,
     seeds: Sequence[np.random.SeedSequence],
-    chunk_size: Optional[int] = None,
+    chunk_size: Optional[int],
 ) -> Iterator[TrajectoryBatch]:
-    """Yield one :class:`TrajectoryBatch` per lockstep chunk of seeds.
-
-    Non-vectorizable models transparently run each seed through the
-    object engine instead (bit-identical to ``kernel="object"``); fully
-    vectorizable models derive each chunk's RNG from a child of the
-    chunk's first seed, so results are deterministic for a fixed chunk
-    layout but not bit-comparable with the object path.  ``chunk_size``
-    defaults to the simulator's configured ``chunk_trajectories``.
-    """
-    n_total = len(seeds)
-    if n_total == 0:
-        return
     if chunk_size is None:
         chunk_size = simulator.config.chunk_trajectories
     instr = simulator.config.instrumentation
@@ -1288,7 +1328,7 @@ def iter_vectorized_batches(
         instr = _obs.current()
     reason = vectorized_fallback_reason(simulator)
     kernel = None if reason is not None else VectorizedKernel(simulator)
-    for start in range(0, n_total, chunk_size):
+    for start in range(0, len(seeds), chunk_size):
         chunk = seeds[start : start + chunk_size]
         if kernel is None:
             accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
@@ -1303,18 +1343,39 @@ def iter_vectorized_batches(
         yield batch
 
 
+def iter_vectorized_batches(
+    simulator: FMTSimulator,
+    seeds: Sequence[np.random.SeedSequence],
+    chunk_size: Optional[int] = None,
+) -> Iterator[TrajectoryBatch]:
+    """Yield one :class:`TrajectoryBatch` per lockstep chunk of seeds.
+
+    .. deprecated::
+        Seeds each chunk from a child of its first per-trajectory seed,
+        so results depend on the chunking.  Use
+        ``MonteCarlo(kernel="vectorized")``, or
+        :func:`repro.simulation.parallel.simulate_batch_columns` with
+        ``(size, seed)`` chunk items (see :func:`chunk_plan`).
+
+    Non-vectorizable models run each seed through the object engine.
+    ``chunk_size`` defaults to the simulator's ``chunk_trajectories``.
+    """
+    _warn_seed_driver("iter_vectorized_batches")
+    return _iter_seed_chunks(simulator, seeds, chunk_size)
+
+
 def simulate_batch_columns_vectorized(
     simulator: FMTSimulator,
     seeds: Sequence[np.random.SeedSequence],
     chunk_size: Optional[int] = None,
 ) -> TrajectoryBatch:
-    """Columnar results for ``seeds`` via the lockstep kernel.
+    """Columnar results of :func:`iter_vectorized_batches`, merged.
 
-    Drop-in counterpart of
-    :func:`repro.simulation.parallel.simulate_batch_columns` for
-    ``SimulationConfig(kernel="vectorized")`` simulators.
+    .. deprecated::
+        See :func:`iter_vectorized_batches`.
     """
+    _warn_seed_driver("simulate_batch_columns_vectorized")
     accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
-    for batch in iter_vectorized_batches(simulator, seeds, chunk_size):
+    for batch in _iter_seed_chunks(simulator, seeds, chunk_size):
         accumulator.add_batch(batch)
     return accumulator.finalize()

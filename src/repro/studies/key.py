@@ -23,23 +23,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any
+from typing import Any, Optional
 
 from repro._version import __version__
 
 __all__ = ["StudyKey", "canonical", "study_material", "CODE_SALT"]
 
-#: Bump the format component when the canonical rendering or the cached
-#: value layout changes; the package version covers semantic changes.
-_FORMAT_VERSION = 1
+#: Bump the format component when the canonical rendering, the cached
+#: value layout, or the simulated results of an unchanged request
+#: change; the package version covers release-level semantic changes.
+#: v2: the vectorized kernel runs one even chunk plan seeded per chunk
+#: (its results changed), and the material always names the kernel.
+_FORMAT_VERSION = 2
 
 CODE_SALT = f"repro-{__version__}/studies-v{_FORMAT_VERSION}"
-
-#: Default vectorized chunk size, mirrored from
-#: :data:`repro.simulation.executor.DEFAULT_CHUNK_TRAJECTORIES` as a
-#: literal so this module stays import-light (a test asserts the two
-#: agree).  Only deviations from it enter the key material.
-_DEFAULT_CHUNK_TRAJECTORIES = 4096
 
 
 def canonical(obj: Any) -> str:
@@ -129,20 +126,18 @@ def study_material(
     confidence: float,
     record_events: bool,
     kernel: str = "object",
-    chunk_trajectories: int = _DEFAULT_CHUNK_TRAJECTORIES,
+    chunk_trajectories: Optional[int] = None,
 ) -> str:
     """The full canonical material of one study request.
 
-    The sampling kernel is part of the material only when it deviates
-    from the default: the vectorized kernel draws its random variates
-    in a different order, so its results are not bit-identical to the
-    object engine's and must not alias its cache entries — but folding
-    ``"object"`` into every key would invalidate all caches written
-    before the kernel knob existed.  ``chunk_trajectories`` follows the
-    same rule: the vectorized kernel consumes one RNG stream per chunk,
-    so a non-default chunk size yields different trajectories and must
-    fracture the key, while the default (4096) stays out of the
-    material to keep existing digests stable.
+    The material holds exactly what determines the results.  The
+    sampling kernel is always part of it: the vectorized kernel draws
+    its random variates in a different order, so its results must not
+    alias the object engine's cache entries.  ``chunk_trajectories``
+    is part of it exactly when ``kernel == "vectorized"`` (and is then
+    required): the vectorized kernel draws one RNG stream per chunk of
+    its chunk plan, so the chunk cap changes its trajectories, while
+    the object engine never reads it.
     """
     material = {
         "salt": CODE_SALT,
@@ -154,10 +149,11 @@ def study_material(
         "n_runs": int(n_runs),
         "confidence": float(confidence),
         "record_events": bool(record_events),
+        "kernel": str(kernel),
     }
-    if kernel != "object":
-        material["kernel"] = str(kernel)
-    if int(chunk_trajectories) != _DEFAULT_CHUNK_TRAJECTORIES:
+    if kernel == "vectorized":
+        if chunk_trajectories is None:
+            raise ValueError("a vectorized study needs chunk_trajectories")
         material["chunk_trajectories"] = int(chunk_trajectories)
     return canonical(material)
 

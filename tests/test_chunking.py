@@ -1,9 +1,8 @@
 """The ``chunk_trajectories`` knob: config, determinism, progress, keys.
 
-The chunk size controls how many trajectories the lockstep kernel
-simulates per RNG stream, so it is part of a study's statistical
-identity whenever it deviates from the default — and invisible (same
-digests, same cached bytes) when left alone.
+The chunk cap fixes the lockstep kernel's chunk plan — how many
+trajectories each RNG stream simulates — so it is part of every
+vectorized study's identity, and of no object-engine study's.
 """
 
 from __future__ import annotations
@@ -99,7 +98,8 @@ def test_study_request_validates_chunk():
 # ----------------------------------------------------------------------
 def test_chunk_boundary_determinism():
     # run(40) at chunk 16 must equal hand-driving the kernel over the
-    # same stream plan: full, full, partial — one spawned child each.
+    # same stream plan: ceil(40/16) = 3 near-equal chunks (14, 13, 13),
+    # one spawned child each.
     mc = _mc(seed=7, chunk=16)
     result = mc.run(40)
 
@@ -107,9 +107,9 @@ def test_chunk_boundary_determinism():
     seeds = np.random.SeedSequence(7).spawn(3)
     manual = TrajectoryBatch.merge(
         [
-            kernel.simulate_chunk(16, np.random.default_rng(seeds[0])),
-            kernel.simulate_chunk(16, np.random.default_rng(seeds[1])),
-            kernel.simulate_chunk(8, np.random.default_rng(seeds[2])),
+            kernel.simulate_chunk(14, np.random.default_rng(seeds[0])),
+            kernel.simulate_chunk(13, np.random.default_rng(seeds[1])),
+            kernel.simulate_chunk(13, np.random.default_rng(seeds[2])),
         ]
     )
     _assert_batches_equal(result.batch, manual)
@@ -174,23 +174,29 @@ def _material(**overrides):
     return key_mod.study_material(**kwargs)
 
 
-def test_default_chunk_matches_executor_default():
-    assert key_mod._DEFAULT_CHUNK_TRAJECTORIES == DEFAULT_CHUNK_TRAJECTORIES
-
-
-def test_default_chunk_leaves_material_untouched():
-    # Passing the default explicitly must not fracture existing caches.
+def test_object_material_ignores_chunk():
+    # The object engine never reads the chunk cap, so it stays out of
+    # the material whatever its value; the kernel itself is always in.
     assert _material() == _material(
         chunk_trajectories=DEFAULT_CHUNK_TRAJECTORIES
     )
+    assert _material() == _material(chunk_trajectories=512)
     assert "chunk_trajectories" not in _material()
+    assert '"kernel"' in _material()
 
 
 def test_non_default_chunk_fractures_material():
-    fractured = _material(chunk_trajectories=512)
-    assert fractured != _material()
+    default = _material(
+        kernel="vectorized", chunk_trajectories=DEFAULT_CHUNK_TRAJECTORIES
+    )
+    fractured = _material(kernel="vectorized", chunk_trajectories=512)
+    assert fractured != default
+    # A vectorized study always carries its chunk cap, the default too.
+    assert "chunk_trajectories" in default
     assert "chunk_trajectories" in fractured
-    assert _material(chunk_trajectories=512) == fractured
+    assert _material(kernel="vectorized", chunk_trajectories=512) == fractured
+    with pytest.raises(ValueError):
+        _material(kernel="vectorized")
 
 
 def test_study_request_key_fractures_on_chunk():
@@ -209,6 +215,48 @@ def test_study_request_key_fractures_on_chunk():
     tuned = StudyRequest(chunk_trajectories=512, **base).key()
     assert default_key.digest == explicit_default.digest
     assert tuned.digest != default_key.digest
+
+
+def test_object_study_key_ignores_chunk():
+    base = dict(
+        tree=_tree(),
+        strategy=MaintenanceStrategy.none(),
+        horizon=10.0,
+        seed=1,
+        n_runs=10,
+    )
+    default_key = StudyRequest(**base).key()
+    assert StudyRequest(chunk_trajectories=512, **base).key() == default_key
+    assert StudyRequest(chunk_trajectories=1, **base).key() == default_key
+
+
+def test_old_salt_disk_entry_is_a_miss(tmp_path, monkeypatch):
+    # A cache written before the chunk plan changed (salt v1, 4096-row
+    # chunk layout) must never serve the current vectorized kernel.
+    from repro.observability.instrumentation import Instrumentation
+    from repro.studies.runner import StudyRunner
+
+    request = StudyRequest(
+        tree=_tree(),
+        strategy=MaintenanceStrategy.none(),
+        horizon=10.0,
+        seed=1,
+        n_runs=50,
+        kernel="vectorized",
+    )
+    old_salt = "repro-1.0.0/studies-v1"
+    assert key_mod.CODE_SALT != old_salt
+    with monkeypatch.context() as patch:
+        patch.setattr(key_mod, "CODE_SALT", old_salt)
+        StudyRunner(cache_dir=str(tmp_path)).summary(request)
+    assert list(tmp_path.rglob("*")), "old-salt entry was not written"
+
+    instr = Instrumentation()
+    StudyRunner(cache_dir=str(tmp_path), instrumentation=instr).summary(
+        request
+    )
+    assert instr.registry.counter("study.disk_hits").value == 0
+    assert instr.registry.counter("study.misses").value == 1
 
 
 def test_study_request_chunk_roundtrips_wire():

@@ -71,6 +71,78 @@ def test_experiments_unknown_attribute_still_raises():
 
 
 # ----------------------------------------------------------------------
+# Per-trajectory-seed vectorized drivers (perf_opt: one chunk plan)
+# ----------------------------------------------------------------------
+def _vectorized_simulator():
+    from repro.core.builder import FMTBuilder
+    from repro.maintenance.strategy import MaintenanceStrategy
+    from repro.simulation.executor import FMTSimulator, SimulationConfig
+
+    builder = FMTBuilder("shim")
+    builder.degraded_event("a", phases=3, mean=6.0, threshold=2)
+    builder.degraded_event("b", phases=2, mean=9.0, threshold=1)
+    builder.or_gate("top", ["a", "b"])
+    return FMTSimulator(
+        builder.build("top"),
+        MaintenanceStrategy.none(),
+        config=SimulationConfig(horizon=10.0, kernel="vectorized"),
+    )
+
+
+def test_iter_vectorized_batches_warns_and_works():
+    import numpy as np
+
+    from repro.simulation import iter_vectorized_batches
+
+    seeds = np.random.SeedSequence(5).spawn(100)
+    with pytest.warns(DeprecationWarning, match="iter_vectorized_batches"):
+        chunks = list(
+            iter_vectorized_batches(_vectorized_simulator(), seeds, 40)
+        )
+    assert [len(chunk) for chunk in chunks] == [40, 40, 20]
+
+
+def test_simulate_batch_columns_vectorized_warns_and_works():
+    import numpy as np
+
+    from repro.simulation import (
+        iter_vectorized_batches,
+        simulate_batch_columns_vectorized,
+    )
+    from repro.simulation.batch import TrajectoryBatch
+
+    def seeds():
+        # Fresh sequences per call: the shims spawn from the first seed
+        # of each chunk, which advances that seed's spawn counter.
+        return np.random.SeedSequence(6).spawn(100)
+
+    simulator = _vectorized_simulator()
+    with pytest.warns(
+        DeprecationWarning, match="simulate_batch_columns_vectorized"
+    ):
+        merged = simulate_batch_columns_vectorized(simulator, seeds(), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        expected = TrajectoryBatch.merge(
+            list(iter_vectorized_batches(simulator, seeds(), 40))
+        )
+    assert len(merged) == 100
+    assert np.array_equal(merged.failure_times, expected.failure_times)
+    assert np.array_equal(merged.failure_offsets, expected.failure_offsets)
+
+
+def test_vectorized_drivers_are_warning_free():
+    """The chunk-plan drivers never trip the per-seed shims."""
+    from repro.simulation.montecarlo import MonteCarlo
+
+    simulator = _vectorized_simulator()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        MonteCarlo(simulator=simulator, seed=3).run(300)
+        MonteCarlo(simulator=simulator, seed=3).run_parallel(300, processes=1)
+
+
+# ----------------------------------------------------------------------
 # Shims must not leak into ordinary library use
 # ----------------------------------------------------------------------
 def test_simulation_stack_is_warning_free():

@@ -98,13 +98,11 @@ def test_key_sensitivity(request_for, maintained_tree):
 
 
 def test_key_kernel_sensitivity(request_for):
-    """The sampling kernel changes results, so it must change the key —
-    but the default must not perturb digests minted before the knob
-    existed (the material only gains a "kernel" entry when it deviates
-    from "object")."""
+    """The sampling kernel changes results, so it must change the key;
+    the material names the kernel always, the default "object" too."""
     base = request_for().key()
     assert request_for(kernel="object").key().digest == base.digest
-    assert "kernel" not in base.material
+    assert "kernel" in base.material
     vectorized = request_for(kernel="vectorized").key()
     assert vectorized.digest != base.digest
     assert "kernel" in vectorized.material

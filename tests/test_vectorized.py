@@ -201,11 +201,9 @@ def test_iter_vectorized_batches_covers_all_seeds():
     tree = _two_event_tree()
     seeds = np.random.SeedSequence(5).spawn(1000)
     sim = _simulator(tree, MaintenanceStrategy.none())
-    total = sum(
-        len(chunk)
-        for chunk in iter_vectorized_batches(sim, seeds, chunk_size=256)
-    )
-    assert total == 1000
+    with pytest.warns(DeprecationWarning):
+        chunks = iter_vectorized_batches(sim, seeds, chunk_size=256)
+    assert sum(len(chunk) for chunk in chunks) == 1000
 
 
 # ----------------------------------------------------------------------
