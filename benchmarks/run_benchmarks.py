@@ -217,9 +217,9 @@ def _summarize_workloads(n: int) -> Dict[str, Callable]:
 def _parallel_workload(strategy_factory, keep: bool, horizon: float = 50.0):
     """End-to-end run_parallel: simulate + IPC + aggregate.
 
-    ``keep=True`` forces the historical object-shipping path;
-    ``keep=False`` takes the columnar worker IPC + streaming
-    aggregation path.
+    Workers ship packed columns either way; ``keep=True`` also
+    rebuilds the trajectory objects from the batch (objects cross the
+    pipe only for event-recording runs).
     """
     from repro.eijoint import build_ei_joint_fmt, default_cost_model
     from repro.simulation.montecarlo import MonteCarlo
@@ -273,7 +273,7 @@ def build_workloads(quick: bool = False) -> Dict[str, Dict[str, object]]:
         },
         # Vectorized-kernel counterparts of the object workloads.  The
         # larger batch size reflects the kernel's lockstep chunking
-        # (DEFAULT_CHUNK_TRAJECTORIES = 4096); CI gates a minimum
+        # (DEFAULT_CHUNK_TRAJECTORIES = 16384); CI gates a minimum
         # speedup of these over the object workloads via
         # compare_bench.py --require-speedup.
         "eijoint-unmaintained-vectorized": {

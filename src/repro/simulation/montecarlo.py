@@ -34,6 +34,7 @@ from repro.observability.progress import (
     ProgressReporter,
     current_progress,
 )
+from repro.simulation import parallel
 from repro.simulation.batch import TrajectoryAccumulator, TrajectoryBatch
 from repro.simulation.executor import (
     DEFAULT_CHUNK_TRAJECTORIES,
@@ -47,11 +48,7 @@ from repro.simulation.metrics import (
     summarize,
 )
 from repro.simulation.trace import Trajectory
-from repro.simulation.vectorized import (
-    VectorizedKernel,
-    chunk_plan,
-    runs_lockstep,
-)
+from repro.simulation.vectorized import chunk_plan, runs_lockstep
 from repro.stats.confidence import ConfidenceInterval
 from repro.stats.sequential import RelativePrecisionRule, RunningStatistics
 
@@ -64,6 +61,27 @@ __all__ = ["MonteCarlo", "MonteCarloResult"]
 logger = get_logger(__name__)
 
 
+class _Streams:
+    """The next ``n`` child streams of ``root``, spawned a slice at a time.
+
+    Spawning ``n`` per-trajectory SeedSequences up front would hold
+    ``n`` of them (~0.4 KB each) for the whole study.  The chunk
+    pipeline slices its tasks' seeds in order, once each, so a serial
+    study holds one task's streams at a time, and the children are
+    exactly those of ``root.spawn(n)``.
+    """
+
+    def __init__(self, root: np.random.SeedSequence, n: int):
+        self._root = root
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index: slice) -> List[np.random.SeedSequence]:
+        return self._root.spawn(len(range(*index.indices(self._n))))
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Result of a Monte Carlo study: KPIs plus optional raw material.
@@ -71,7 +89,7 @@ class MonteCarloResult:
     ``trajectories`` carries the full objects only when the study was
     run with ``keep_trajectories=True``.  ``batch`` carries the packed
     KPI columns (:class:`~repro.simulation.batch.TrajectoryBatch`)
-    whenever the driver took the streaming columnar path — enough for
+    of every :meth:`MonteCarlo.run` / ``run_parallel`` study — enough for
     :meth:`reliability_at` and further aggregation at a small fraction
     of the object list's footprint.
     """
@@ -258,19 +276,23 @@ class MonteCarlo:
         self._streams_used += 1
         return np.random.default_rng(child)
 
-    def _chunk_items(
-        self, n_runs: int
-    ) -> List[Tuple[int, np.random.SeedSequence]]:
-        """The lockstep study's ``(size, seed)`` chunk items.
+    def _seed_items(self, n_runs: int) -> Sequence:
+        """The study's seed items, consumed from the root seed.
 
-        Sizes follow :func:`~repro.simulation.vectorized.chunk_plan`;
-        chunk ``i`` draws from the ``i``-th of ``k`` children spawned
-        in one call, on whichever process runs it.
+        Lockstep studies get ``(size, seed)`` chunk items: sizes follow
+        :func:`~repro.simulation.vectorized.chunk_plan`, and chunk ``i``
+        draws from the ``i``-th of ``k`` children spawned in one call,
+        on whichever process runs it.  Otherwise each trajectory gets
+        its own child stream (:class:`_Streams`).
         """
-        sizes = chunk_plan(n_runs, self.simulator.config.chunk_trajectories)
-        seeds = self._seed_sequence.spawn(len(sizes))
-        self._streams_used += len(sizes)
-        return list(zip(sizes, seeds))
+        if n_runs < 1:
+            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+        if runs_lockstep(self.simulator):
+            sizes = chunk_plan(n_runs, self.simulator.config.chunk_trajectories)
+            self._streams_used += len(sizes)
+            return list(zip(sizes, self._seed_sequence.spawn(len(sizes))))
+        self._streams_used += n_runs
+        return _Streams(self._seed_sequence, n_runs)
 
     def _resolve_instrumentation(self) -> Optional[Instrumentation]:
         """Explicit instrumentation, else the simulator's, else ambient."""
@@ -287,11 +309,6 @@ class MonteCarlo:
     ) -> Optional[ProgressReporter]:
         """Explicit reporter, else the ambient one, else None."""
         return progress if progress is not None else current_progress()
-
-    @staticmethod
-    def _progress_step(n_runs: int) -> int:
-        """Trajectories between progress events for an n-run study."""
-        return max(1, min(1000, n_runs // 50))
 
     def _summarize(
         self, trajectories: Trajectories, confidence: float
@@ -343,16 +360,14 @@ class MonteCarlo:
         parallelism is purely a wall-clock optimization.
 
         ``processes=None`` (the default) picks a sensible fan-out from
-        the schedulable CPU count, capped so a small study does not pay
-        the startup cost of idle workers; explicit values must be >= 1.
-        Passing a :class:`~repro.simulation.parallel.SharedSimulationPool`
-        reuses its workers instead of spawning a dedicated pool (the
-        pool's size then wins over ``processes``).
-
-        Unless ``keep_trajectories=True``, the raw material comes back
-        as a :class:`~repro.simulation.batch.TrajectoryBatch` on the
-        result; with ``record_events=False`` (the default) the workers
-        themselves ship packed columns instead of pickled object lists.
+        the schedulable CPU count, capped at the study's seed items —
+        chunk items on the lockstep kernel, trajectories on the object
+        engine — so a one-chunk study runs in-process; explicit values
+        must be >= 1.  Passing a
+        :class:`~repro.simulation.parallel.SharedSimulationPool` reuses
+        its workers instead of spawning a dedicated pool (the pool's
+        size then wins over ``processes``).  One process runs the
+        study's tasks in-process, exactly as :meth:`run` does.
 
         With telemetry attached — instrumentation (explicit or
         ambient), an ambient span collector, or a progress reporter —
@@ -362,85 +377,26 @@ class MonteCarlo:
         side counters and per-worker ``sim.worker.<n>.*`` utilization
         gauges.  All of it is passive: results stay bit-identical.
         """
-        from repro.simulation.parallel import (
-            WorkerTelemetry,
-            default_process_count,
-            sample_parallel,
-            sample_parallel_batch,
-        )
-
-        if n_runs < 1:
-            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+        if pool is None and processes is not None and processes < 1:
+            raise ValidationError(f"processes must be >= 1, got {processes}")
+        seeds = self._seed_items(n_runs)
         if pool is not None:
             processes = pool.processes
         elif processes is None:
-            processes = default_process_count(n_runs)
-        elif processes < 1:
-            raise ValidationError(f"processes must be >= 1, got {processes}")
+            processes = parallel.default_process_count(len(seeds))
         logger.info(kv("run_parallel fan-out", processes=processes, runs=n_runs))
         with _spans.span(
             "mc.run_parallel", {"n_runs": n_runs, "processes": processes}
         ) as run_span:
-            reporter = self._resolve_progress(progress)
-            instrumentation = self._resolve_instrumentation()
-            collector = _spans.current_collector()
-            telemetry = None
-            if (
-                instrumentation is not None
-                or collector is not None
-                or reporter is not None
-            ):
-                context = run_span.context
-                telemetry = WorkerTelemetry(
-                    instrumentation=instrumentation,
-                    collector=collector,
-                    span_parent=(
-                        context.to_dict() if context is not None else None
-                    ),
-                    progress=reporter,
-                )
-            lockstep = runs_lockstep(self.simulator)
-            if lockstep:
-                # One (size, seed) item per chunk of the study's plan:
-                # the same items, in the same order, as a serial run().
-                seeds = self._chunk_items(n_runs)
-            else:
-                seeds = self._seed_sequence.spawn(n_runs)
-                self._streams_used += n_runs
-            if lockstep or (
-                not keep_trajectories
-                and not self.simulator.config.record_events
-            ):
-                # Compact IPC: workers reduce trajectories to KPI columns
-                # and the driver never materializes the object list.  The
-                # lockstep kernel always takes this path (its native
-                # output is columns); kept trajectories are then rebuilt
-                # from the batch.
-                batch = sample_parallel_batch(
-                    self.simulator, seeds, processes, pool=pool,
-                    telemetry=telemetry,
-                )
-                summary = self._summarize(batch, confidence)
-                if keep_trajectories:
-                    return MonteCarloResult(
-                        summary=summary,
-                        trajectories=tuple(batch.to_trajectories()),
-                        batch=batch,
-                    )
-                return MonteCarloResult(summary=summary, batch=batch)
-            trajectories = sample_parallel(
-                self.simulator, seeds, processes, pool=pool, telemetry=telemetry
+            context = run_span.context
+            telemetry = parallel.WorkerTelemetry(
+                instrumentation=self._resolve_instrumentation(),
+                collector=_spans.current_collector(),
+                span_parent=context.to_dict() if context is not None else None,
+                progress=self._resolve_progress(progress),
             )
-            if keep_trajectories:
-                summary = self._summarize(trajectories, confidence)
-                return MonteCarloResult(
-                    summary=summary, trajectories=tuple(trajectories)
-                )
-            # Events were recorded but the objects are not kept: ship the
-            # objects (they carry the events) but hand back only the batch.
-            batch = TrajectoryBatch.from_trajectories(trajectories)
-            return MonteCarloResult(
-                summary=self._summarize(batch, confidence), batch=batch
+            return self._simulate(
+                seeds, processes, pool, telemetry, keep_trajectories, confidence
             )
 
     def run(
@@ -452,161 +408,66 @@ class MonteCarlo:
     ) -> MonteCarloResult:
         """Run a fixed number of replications and summarize KPIs.
 
-        With ``keep_trajectories=False`` (the default) the trajectories
-        are streamed into a :class:`~repro.simulation.batch.
+        The trajectories stream into a :class:`~repro.simulation.batch.
         TrajectoryBatch` as they are simulated — peak memory is one
-        trajectory plus the packed columns, independent of ``n_runs`` —
-        and the batch rides along on the result for curve estimation.
-        KPIs are bit-identical between the two modes.
+        task's seed streams plus the packed columns, independent of
+        ``n_runs`` — and the batch rides along on the result for curve
+        estimation.  ``keep_trajectories=True`` also returns the
+        trajectory objects.  KPIs are bit-identical between the two
+        modes.
 
         ``progress`` (or an ambient reporter installed with
-        :func:`repro.observability.use_progress`) receives
-        rate/ETA events at batch boundaries; reporting is passive, so
-        a watched run is bit-identical to a silent one.
+        :func:`repro.observability.use_progress`) receives rate/ETA
+        events between and inside chunks; reporting is passive, so a
+        watched run is bit-identical to a silent one.
         """
-        reporter = self._resolve_progress(progress)
         with _spans.span(
             "mc.run", {"n_runs": n_runs, "keep_trajectories": keep_trajectories}
         ):
-            if runs_lockstep(self.simulator):
-                return self._run_vectorized(
-                    n_runs, confidence, keep_trajectories, reporter
-                )
-            # The object engine; vectorized-kernel models that fall back
-            # run here too, bit-identical to kernel="object".
-            if reporter is None:
-                if keep_trajectories:
-                    trajectories = self.sample(n_runs)
-                    summary = self._summarize(trajectories, confidence)
-                    return MonteCarloResult(
-                        summary=summary, trajectories=tuple(trajectories)
-                    )
-                batch = self.sample_batch(n_runs)
-                return MonteCarloResult(
-                    summary=self._summarize(batch, confidence), batch=batch
-                )
-            if n_runs < 1:
-                raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-            # Watched run: identical child-stream order, sliced into
-            # progress steps.  The sink (object list vs accumulator)
-            # mirrors the silent paths above exactly.
-            collected: List[Trajectory] = []
-            accumulator = (
-                None
-                if keep_trajectories
-                else TrajectoryAccumulator(horizon=self.horizon)
+            telemetry = parallel.WorkerTelemetry(
+                progress=self._resolve_progress(progress), phase="mc.run"
             )
-            sink = collected.append if accumulator is None else accumulator.add
-            step = self._progress_step(n_runs)
-            start = _time.perf_counter()
-            done = 0
-            while done < n_runs:
-                take = min(step, n_runs - done)
-                for _ in range(take):
-                    sink(self.simulator.simulate(self._next_rng()))
-                done += take
-                elapsed = _time.perf_counter() - start
-                rate = done / elapsed if elapsed > 0 else None
-                reporter.update(
-                    ProgressEvent(
-                        phase="mc.run",
-                        completed=done,
-                        total=n_runs,
-                        elapsed_seconds=elapsed,
-                        rate_per_sec=rate,
-                        eta_seconds=((n_runs - done) / rate) if rate else None,
-                        done=done >= n_runs,
-                    )
-                )
-            if accumulator is None:
-                summary = self._summarize(collected, confidence)
-                return MonteCarloResult(
-                    summary=summary, trajectories=tuple(collected)
-                )
-            batch = accumulator.finalize()
-            return MonteCarloResult(
-                summary=self._summarize(batch, confidence), batch=batch
+            return self._simulate(
+                self._seed_items(n_runs), 1, None, telemetry,
+                keep_trajectories, confidence,
             )
 
-    def _run_vectorized(
+    def _simulate(
         self,
-        n_runs: int,
-        confidence: float,
+        seeds: Sequence,
+        processes: int,
+        pool: Optional["SharedSimulationPool"],
+        telemetry: "parallel.WorkerTelemetry",
         keep_trajectories: bool,
-        reporter: Optional[ProgressReporter],
+        confidence: float,
     ) -> MonteCarloResult:
-        """:meth:`run` body for models on the lockstep kernel.
+        """The one body of :meth:`run` and :meth:`run_parallel`.
 
-        Runs the study's chunk items (:meth:`_chunk_items`): one child
-        seed stream per lockstep *chunk* — spawning a stream per
-        trajectory costs more than the kernel spends simulating one —
-        exactly as :meth:`run_parallel` dispatches them.  Chunks stream
-        straight into the accumulator; progress events fire at chunk
-        boundaries and, for watched runs, from inside the chunk loop at
-        calendar-fraction granularity, throttled to the same cadence as
-        the object path (:meth:`_progress_step`).  The in-chunk
-        callback never touches the RNG, so watched and silent runs are
-        bit-identical.
+        Tasks return trajectory objects only when the run keeps them
+        and they carry recorded events.  Otherwise they return packed
+        columns, and kept trajectories are rebuilt from the batch
+        (equal to the engine's objects).
         """
-        if n_runs < 1:
-            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-        accumulator = TrajectoryAccumulator(horizon=self.horizon)
-        start = _time.perf_counter()
-        done = 0
-
-        def report(done: int) -> None:
-            if reporter is None:
-                return
-            elapsed = _time.perf_counter() - start
-            rate = done / elapsed if elapsed > 0 else None
-            reporter.update(
-                ProgressEvent(
-                    phase="mc.run",
-                    completed=done,
-                    total=n_runs,
-                    elapsed_seconds=elapsed,
-                    rate_per_sec=rate,
-                    eta_seconds=((n_runs - done) / rate) if rate else None,
-                    done=done >= n_runs,
+        if keep_trajectories and self.simulator.config.record_events:
+            trajectories = tuple(
+                parallel.sample_parallel(
+                    self.simulator, seeds, processes, pool=pool,
+                    telemetry=telemetry,
                 )
             )
-
-        kernel = VectorizedKernel(self.simulator)
-        instr = self._resolve_instrumentation()
-        step = self._progress_step(n_runs)
-        for size, seed in self._chunk_items(n_runs):
-            callback = None
-            if reporter is not None:
-                # Map the kernel's calendar fraction to equivalent
-                # completed trajectories; emit at the object path's
-                # cadence, leaving the boundary event to report().
-                state = {"next": done + step}
-                base, span = done, size
-
-                def callback(frac, state=state, base=base, span=span):
-                    equivalent = base + int(span * frac)
-                    if equivalent >= state["next"] and equivalent < base + span:
-                        state["next"] = equivalent + step
-                        report(equivalent)
-
-            accumulator.add_batch(
-                kernel.simulate_chunk(
-                    size, np.random.default_rng(seed), progress=callback
-                )
+            batch = TrajectoryBatch.from_trajectories(trajectories)
+        else:
+            batch = parallel.sample_parallel_batch(
+                self.simulator, seeds, processes, pool=pool, telemetry=telemetry
             )
-            if instr is not None:
-                instr.count(_obs.SIM_TRAJECTORIES, size)
-            done += size
-            report(done)
-        batch = accumulator.finalize()
-        summary = self._summarize(batch, confidence)
-        if keep_trajectories:
-            return MonteCarloResult(
-                summary=summary,
-                trajectories=tuple(batch.to_trajectories()),
-                batch=batch,
+            trajectories = (
+                tuple(batch.to_trajectories()) if keep_trajectories else None
             )
-        return MonteCarloResult(summary=summary, batch=batch)
+        return MonteCarloResult(
+            summary=self._summarize(batch, confidence),
+            trajectories=trajectories,
+            batch=batch,
+        )
 
     def run_rare_event(
         self,

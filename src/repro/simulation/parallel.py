@@ -1,57 +1,58 @@
-"""Multiprocessing support for Monte Carlo replication.
+"""One chunk pipeline for Monte Carlo replication.
 
-Trajectories are embarrassingly parallel; this module fans batches out
-to worker processes.  Reproducibility is preserved exactly: the child
-RNG streams are derived from the root seed in the same order a serial
-run would use them, so ``run_parallel`` returns **bit-identical KPIs**
-to :meth:`repro.simulation.montecarlo.MonteCarlo.run` with the same
-seed (the test suite asserts this).
+Every batch run — :meth:`~repro.simulation.montecarlo.MonteCarlo.run`,
+:meth:`~repro.simulation.montecarlo.MonteCarlo.run_parallel`,
+:func:`sample_parallel` and :func:`sample_parallel_batch` — takes the
+same three steps:
 
-The simulator object is pickled once per worker; tasks ship only seed
-items.  The object engine takes one
+1. the seed items are cut, in seed order, into :class:`ChunkTask`
+   records;
+2. one function simulates a task and returns a :class:`ChunkResult`:
+   in-process when one process is asked for, otherwise on the workers
+   of a :class:`SharedSimulationPool` (a dedicated pool is a shared
+   pool used once), whose single entry point receives ``(digest,
+   pickled simulator, task)`` and caches unpickled simulators by
+   digest;
+3. one fold takes the results in seed order, yields their payloads and
+   handles the telemetry.
+
+The seed items fix every child RNG stream before dispatch, so results
+are **bit-identical** whatever the process count (the test suite
+asserts this).  The object engine takes one
 :class:`numpy.random.SeedSequence` per trajectory, several to a task.
 The lockstep kernel takes ``(size, seed)`` chunk items, one to a task:
 the driver fixes the chunk plan
-(:func:`~repro.simulation.vectorized.chunk_plan`) and the chunk seeds
-before dispatch, and the pool balances load by chunk count, never by
-resizing chunks — so the plan, and the bytes, do not depend on the
-process count.  Results come back in one of two shapes:
+(:func:`~repro.simulation.vectorized.chunk_plan`) and the chunk seeds,
+and the pool balances load by chunk count, never by resizing chunks —
+so the plan, and the bytes, do not depend on the process count.
 
-* :func:`sample_parallel` — full :class:`~repro.simulation.trace.
-  Trajectory` object lists (needed when events or the objects
-  themselves are kept);
-* :func:`sample_parallel_batch` — packed
-  :class:`~repro.simulation.batch.TrajectoryBatch` columns.  Workers
-  reduce each trajectory to its KPI scalars immediately, and — where
-  POSIX shared memory is available — scatter the columns straight into
-  one pre-sized ``multiprocessing.shared_memory`` segment at their
-  chunk's row offset (:mod:`repro.simulation.shm`), so the result pipe
-  carries only a tiny per-chunk handle and the driver materializes the
-  final batch with a single copy out of the segment (zero-copy fold;
-  bit-identical to the pickled fallback, which remains for hosts
-  without ``/dev/shm``).
+A task returns :class:`~repro.simulation.trace.Trajectory` objects only
+when asked to (:func:`sample_parallel`; the objects carry recorded
+events).  Otherwise it returns packed
+:class:`~repro.simulation.batch.TrajectoryBatch` columns.  On a pool
+where POSIX shared memory is available, each task also carries its
+write window into one pre-sized segment (:mod:`repro.simulation.shm`),
+so the result pipe carries only a tiny handle and the driver
+materializes the final batch with one copy out of the segment
+(bit-identical to the pickled fold).
+
+Telemetry round-trip
+--------------------
+A task may carry the dispatching span's serialized
+:class:`~repro.observability.spans.SpanContext` and a collect-metrics
+flag.  Its chunk then runs under a ``worker.chunk`` span and into a
+fresh per-chunk registry, and both ride back on the result.  The fold
+merges the registries into the parent one
+(:meth:`MetricsRegistry.merge`), feeds the span records to the
+collector, builds the run's progress events (between chunks, and from
+inside in-process chunks), and finally publishes per-worker
+utilization gauges (``sim.worker.<n>.chunks`` / ``.trajectories`` /
+``.busy_seconds`` plus ``sim.workers``).  With telemetry off the
+results travel with empty telemetry fields.
 
 A worker process dying (OOM-kill, segfault, ``os._exit``) surfaces as
 a :class:`~repro.errors.SimulationError` instead of a hang or an
 opaque pool exception.
-
-Telemetry round-trip
---------------------
-When the driver runs with telemetry attached (metrics, spans, or a
-progress reporter — see :class:`WorkerTelemetry`), each task addition-
-ally carries a tiny :class:`ChunkExtras` and each worker wraps its
-chunk in a fresh per-chunk :class:`~repro.observability.
-instrumentation.Instrumentation` and a ``worker.chunk`` span parented
-to the dispatching span's shipped
-:class:`~repro.observability.spans.SpanContext`.  The chunk result
-then ships ``(payload, worker registry, span record, pid, wall
-seconds)`` back; the driver folds the registry into the parent one
-(:meth:`MetricsRegistry.merge`), feeds the span record to the ambient
-collector, emits a progress event, and finally publishes per-worker
-utilization gauges (``sim.worker.<n>.chunks`` / ``.trajectories`` /
-``.busy_seconds`` plus ``sim.workers``).  With no telemetry attached
-the legacy payload-only protocol is used — zero extra bytes on the
-pipe, zero worker-side overhead.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+)
 
 import numpy as np
 
@@ -105,9 +109,10 @@ logger = get_logger(__name__)
 #: replication counts this project runs.
 MAX_DEFAULT_PROCESSES = 8
 
-# Module-level worker state: initialised once per process, so the
-# (potentially large) simulator is unpickled a single time.
-_WORKER_SIMULATOR: Optional[FMTSimulator] = None
+#: Cap on the per-trajectory seeds of one object-engine task.  A serial
+#: study spawns each task's streams as the task starts, so this bounds
+#: the SeedSequences it holds at once.
+MAX_TASK_TRAJECTORIES = 1000
 
 
 def _available_cpu_count() -> int:
@@ -135,8 +140,8 @@ def default_process_count(n_tasks: Optional[int] = None) -> int:
 
     The schedulable CPU count (see :func:`_available_cpu_count`) capped
     at :data:`MAX_DEFAULT_PROCESSES`, and at ``n_tasks`` when given (no
-    point spawning more workers than there are trajectories).  Always
-    >= 1.
+    point spawning more workers than there are seed items to share
+    out).  Always >= 1.
     """
     count = min(_available_cpu_count(), MAX_DEFAULT_PROCESSES)
     if n_tasks is not None:
@@ -144,18 +149,24 @@ def default_process_count(n_tasks: Optional[int] = None) -> int:
     return max(1, count)
 
 
-def _init_worker(simulator: FMTSimulator) -> None:
-    global _WORKER_SIMULATOR
-    _WORKER_SIMULATOR = simulator
-
-
 def simulate_batch(
     simulator: FMTSimulator, seeds: Sequence[np.random.SeedSequence]
 ) -> List[Trajectory]:
     """Simulate one trajectory per seed, in-process."""
-    return [
-        simulator.simulate(np.random.default_rng(seed)) for seed in seeds
-    ]
+    return list(_trajectories(simulator, seeds))
+
+
+def _trajectories(
+    simulator: FMTSimulator,
+    seeds: Iterable[np.random.SeedSequence],
+    progress: Optional[Callable[[int], None]] = None,
+) -> Iterator[Trajectory]:
+    """One object-engine trajectory per seed; ``progress(done)`` after each."""
+    simulate = simulator.simulate
+    for done, seed in enumerate(seeds, 1):
+        yield simulate(np.random.default_rng(seed))
+        if progress is not None:
+            progress(done)
 
 
 def _rows(seeds: Sequence) -> int:
@@ -169,11 +180,11 @@ def simulate_batch_columns(
 ) -> TrajectoryBatch:
     """Simulate ``seeds``' trajectories, reduced to batch columns.
 
-    This is the single dispatch point shared by the in-process path and
-    every worker entry point.  When the simulator runs the lockstep
-    kernel (:func:`~repro.simulation.vectorized.runs_lockstep`), each
-    item is a ``(size, seed)`` chunk item: ``size`` trajectories
-    simulated as one chunk drawing from ``default_rng(seed)`` (a bare
+    This is the column body of every pipeline task, in-process or on a
+    worker.  When the simulator runs the lockstep kernel
+    (:func:`~repro.simulation.vectorized.runs_lockstep`), each item is
+    a ``(size, seed)`` chunk item: ``size`` trajectories simulated as
+    one chunk drawing from ``default_rng(seed)`` (a bare
     ``SeedSequence`` is a one-row chunk).  Otherwise — the object
     kernel, or a vectorized-kernel model that falls back — each item
     is one trajectory's ``SeedSequence``, and each trajectory object is
@@ -181,237 +192,171 @@ def simulate_batch_columns(
     memory is one trajectory plus the columns, regardless of
     ``len(seeds)``.
     """
+    return _columns(simulator, seeds)
+
+
+def _columns(
+    simulator: FMTSimulator,
+    seeds: Sequence,
+    progress: Optional[Callable[[int], None]] = None,
+) -> TrajectoryBatch:
+    """:func:`simulate_batch_columns`, telling ``progress`` the rows
+    done so far: per trajectory on the object engine, per calendar
+    epoch on the lockstep kernel.  The callback never touches the RNG.
+    """
     accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
-    if runs_lockstep(simulator):
-        kernel = VectorizedKernel(simulator)
-        instr = simulator.config.instrumentation
-        if instr is None:
-            instr = _obs.current()
-        for item in seeds:
-            size, seed = item if isinstance(item, tuple) else (1, item)
-            accumulator.add_batch(
-                kernel.simulate_chunk(size, np.random.default_rng(seed))
-            )
-            if instr is not None:
-                instr.count(_obs.SIM_TRAJECTORIES, size)
+    if not runs_lockstep(simulator):
+        accumulator.extend(_trajectories(simulator, seeds, progress))
         return accumulator.finalize()
-    simulate = simulator.simulate
-    add = accumulator.add
-    for seed in seeds:
-        add(simulate(np.random.default_rng(seed)))
+    kernel = VectorizedKernel(simulator)
+    instr = simulator.config.instrumentation
+    if instr is None:
+        instr = _obs.current()
+    done = 0
+    for item in seeds:
+        size, seed = item if isinstance(item, tuple) else (1, item)
+        callback = None
+        if progress is not None:
+
+            def callback(frac, base=done, size=size):
+                progress(base + int(size * frac))
+
+        accumulator.add_batch(
+            kernel.simulate_chunk(size, np.random.default_rng(seed), progress=callback)
+        )
+        if instr is not None:
+            instr.count(_obs.SIM_TRAJECTORIES, size)
+        done += size
     return accumulator.finalize()
 
 
-def _worker_batch(seeds: Sequence[np.random.SeedSequence]) -> List[Trajectory]:
-    assert _WORKER_SIMULATOR is not None
-    return simulate_batch(_WORKER_SIMULATOR, seeds)
-
-
-def _worker_batch_columns(seeds: Sequence) -> TrajectoryBatch:
-    assert _WORKER_SIMULATOR is not None
-    return simulate_batch_columns(_WORKER_SIMULATOR, seeds)
-
-
-def _worker_batch_columns_shm(
-    task: Tuple[Sequence, ShmChunkSpec],
-):
-    assert _WORKER_SIMULATOR is not None
-    seeds, spec = task
-    return write_chunk_batch(
-        simulate_batch_columns(_WORKER_SIMULATOR, seeds), spec
-    )
-
-
 # ----------------------------------------------------------------------
-# Telemetry round-trip
+# The task, its result, and the one body that turns one into the other
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ChunkExtras:
-    """Per-task telemetry envelope shipped to a worker.
+class ChunkTask:
+    """One unit of work: a slice of the run's seed items.
 
-    Picklable and tiny: the parent span's serialized
-    :class:`~repro.observability.spans.SpanContext` (or None when
-    tracing is off), whether to collect a per-chunk metrics registry,
-    the chunk's ordinal, and the result representation.
+    Picklable and small.  ``objects`` asks for a
+    :class:`~repro.simulation.trace.Trajectory` list instead of batch
+    columns; ``shm`` is the write window for the columns in the shared
+    segment (None keeps them on the result pipe); ``span_parent`` (a
+    serialized :class:`~repro.observability.spans.SpanContext`) and
+    ``collect_metrics`` opt into the telemetry round-trip.
     """
 
-    span_parent: Optional[Dict[str, str]]
-    collect_metrics: bool
-    chunk_index: int
-    as_batch: bool
-    #: Shared-memory write window for this chunk's columns; None keeps
-    #: the pickled result representation.
+    index: int
+    seeds: Sequence
+    objects: bool = False
     shm: Optional[ShmChunkSpec] = None
+    span_parent: Optional[Dict[str, str]] = None
+    collect_metrics: bool = False
 
 
 @dataclass
 class ChunkResult:
-    """What a telemetry-enabled worker ships back per chunk."""
+    """What a task returns; the telemetry fields stay empty when off."""
 
-    payload: Any  # List[Trajectory] or TrajectoryBatch
-    registry: Optional[Any]  # MetricsRegistry, when metrics were collected
-    span: Optional[Dict[str, Any]]  # completed span record
-    pid: int
+    payload: Any  # List[Trajectory], TrajectoryBatch or ShmChunkHandle
     n_trajectories: int
+    pid: int
     seconds: float
+    registry: Optional[Any] = None  # MetricsRegistry, when metrics were collected
+    span: Optional[Dict[str, Any]] = None  # completed span record
 
 
-@dataclass(frozen=True)
-class WorkerTelemetry:
-    """Driver-side telemetry configuration for one parallel dispatch.
-
-    Built by :meth:`MonteCarlo.run_parallel` from the explicit/ambient
-    instrumentation, span collector, and progress reporter; ``None``
-    everywhere means the dispatch uses the legacy payload-only
-    protocol.
-    """
-
-    instrumentation: Optional[Instrumentation] = None
-    collector: Optional[SpanCollector] = None
-    span_parent: Optional[Dict[str, str]] = None
-    progress: Optional[Any] = None  # ProgressReporter
-    phase: str = "mc.run_parallel"
-
-    @property
-    def active(self) -> bool:
-        """Whether any telemetry sink is attached."""
-        return (
-            self.instrumentation is not None
-            or self.collector is not None
-            or self.progress is not None
-        )
-
-
-def _run_chunk_with_telemetry(
+def _run_chunk(
     simulator: FMTSimulator,
-    seeds: Sequence,
-    extras: ChunkExtras,
+    task: ChunkTask,
+    progress: Optional[Callable[[int], None]] = None,
 ) -> ChunkResult:
-    """Worker-side chunk execution with per-chunk telemetry.
+    """Simulate one task, in-process or on a worker.
 
-    The chunk simulates into a *fresh* registry (temporarily swapped
-    into the simulator config) so long-lived workers ship deltas, not
-    cumulative totals — the driver can then fold every chunk without
-    double counting.  Strictly passive: the trajectories are the same
-    with or without collection.
+    With ``collect_metrics`` the chunk simulates into a *fresh*
+    registry (temporarily swapped into the simulator config), so
+    long-lived workers ship deltas, not cumulative totals, and the
+    fold can merge every chunk without double counting.  ``progress``
+    (in-process runs only) receives the rows done inside the chunk.
+    Strictly passive: the trajectories are the same with or without
+    telemetry.
     """
-    rows = _rows(seeds)
+    rows = _rows(task.seeds)
     span = None
-    if extras.span_parent is not None:
+    if task.span_parent is not None:
         span = Span.start(
             "worker.chunk",
-            parent=extras.span_parent,
+            parent=task.span_parent,
             attributes={
-                "chunk": extras.chunk_index,
+                "chunk": task.index,
                 "n_trajectories": rows,
                 "pid": os.getpid(),
             },
         )
-    run = simulate_batch_columns if extras.as_batch else simulate_batch
     start = time.perf_counter()
     registry = None
-    if extras.collect_metrics:
+    if task.collect_metrics:
+        original = simulator.config
         instrumentation = Instrumentation()
         registry = instrumentation.registry
-        original = simulator.config
         simulator.config = replace(original, instrumentation=instrumentation)
-        try:
-            payload = run(simulator, seeds)
-        finally:
+    try:
+        if task.objects:
+            payload = list(_trajectories(simulator, task.seeds, progress))
+        else:
+            payload = _columns(simulator, task.seeds, progress)
+    finally:
+        if registry is not None:
             simulator.config = original
-    else:
-        payload = run(simulator, seeds)
-    if extras.shm is not None and extras.as_batch:
+    if task.shm is not None:
         # Columns go through the shared segment; only the tiny handle
         # rides the result pipe.
-        payload = write_chunk_batch(payload, extras.shm)
-    seconds = time.perf_counter() - start
+        payload = write_chunk_batch(payload, task.shm)
     return ChunkResult(
         payload=payload,
-        registry=registry,
-        span=span.end().to_dict() if span is not None else None,
-        pid=os.getpid(),
         n_trajectories=rows,
-        seconds=seconds,
+        pid=os.getpid(),
+        seconds=time.perf_counter() - start,
+        registry=registry,
+        span=span.to_dict() if span is not None else None,
     )
 
 
-def _worker_chunk_telemetry(
-    task: Tuple[Sequence, ChunkExtras],
-) -> ChunkResult:
-    assert _WORKER_SIMULATOR is not None
-    seeds, extras = task
-    return _run_chunk_with_telemetry(_WORKER_SIMULATOR, seeds, extras)
-
-
-# Shared-pool worker state: simulators cached by payload digest, so one
-# pool can serve many different studies and each worker unpickles a
-# given simulator at most once.
+# Pool worker state: simulators cached by payload digest, so one pool
+# can serve many different studies and each worker unpickles a given
+# simulator at most once.
 _SHARED_SIMULATORS: Dict[str, FMTSimulator] = {}
 
-#: Cached simulators kept per shared-pool worker before the cache is
-#: cleared; a study sweep touches a handful of simulators, and an
-#: unbounded cache would pin every model a long-lived pool ever saw.
+#: Cached simulators kept per pool worker before the cache is cleared;
+#: a study sweep touches a handful of simulators, and an unbounded
+#: cache would pin every model a long-lived pool ever saw.
 MAX_CACHED_SIMULATORS = 16
 
 
-def _shared_simulator(digest: str, blob: bytes) -> FMTSimulator:
+def _pool_task(job: Tuple[str, bytes, ChunkTask]) -> ChunkResult:
+    """The pool's one entry point: ``(digest, pickled simulator, task)``."""
+    digest, blob, task = job
     simulator = _SHARED_SIMULATORS.get(digest)
     if simulator is None:
         if len(_SHARED_SIMULATORS) >= MAX_CACHED_SIMULATORS:
             _SHARED_SIMULATORS.clear()
-        simulator = pickle.loads(blob)
-        _SHARED_SIMULATORS[digest] = simulator
-    return simulator
-
-
-def _shared_worker_batch(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence]],
-) -> List[Trajectory]:
-    digest, blob, seeds = payload
-    return simulate_batch(_shared_simulator(digest, blob), seeds)
-
-
-def _shared_worker_batch_columns(
-    payload: Tuple[str, bytes, Sequence],
-) -> TrajectoryBatch:
-    digest, blob, seeds = payload
-    return simulate_batch_columns(_shared_simulator(digest, blob), seeds)
-
-
-def _shared_worker_batch_columns_shm(
-    payload: Tuple[str, bytes, Sequence, ShmChunkSpec],
-):
-    digest, blob, seeds, spec = payload
-    return write_chunk_batch(
-        simulate_batch_columns(_shared_simulator(digest, blob), seeds), spec
-    )
-
-
-def _shared_worker_chunk_telemetry(
-    payload: Tuple[str, bytes, Sequence, ChunkExtras],
-) -> ChunkResult:
-    digest, blob, seeds, extras = payload
-    return _run_chunk_with_telemetry(_shared_simulator(digest, blob), seeds, extras)
+        simulator = _SHARED_SIMULATORS[digest] = pickle.loads(blob)
+    return _run_chunk(simulator, task)
 
 
 class SharedSimulationPool:
     """A process pool reusable across many (simulator, seeds) studies.
 
-    ``sample_parallel`` normally spins up a dedicated pool whose
-    workers are initialised with one pickled simulator — fine for a
-    single large run, wasteful when an experiment sweep performs many
-    medium runs back to back.  A shared pool is created once, sized
-    once, and serves every study of a sweep: tasks carry the pickled
-    simulator plus its digest, and workers cache unpickled simulators
-    by digest, so repeated studies of the same model pay the transfer
-    but not the unpickling.
+    Created once and sized once, a shared pool serves every study of a
+    sweep: tasks carry the pickled simulator plus its digest, and
+    workers cache unpickled simulators by digest, so repeated studies
+    of the same model pay the transfer but not the unpickling.  A run
+    given no pool uses a dedicated one — a shared pool used once.
 
-    Results are bit-identical to a dedicated pool and to a serial run
-    (the trajectories are functions of the seeds alone).  The pool is
-    lazy — no processes exist until the first parallel study — and a
-    worker crash poisons only the current executor: the next study
-    transparently gets a fresh one.
+    Results are bit-identical to a serial run (the trajectories are
+    functions of the seeds alone).  The pool is lazy — no processes
+    exist until the first parallel study — and a worker crash poisons
+    only the current executor: the next study transparently gets a
+    fresh one.
     """
 
     def __init__(self, processes: Optional[int] = None):
@@ -452,198 +397,200 @@ class SharedSimulationPool:
         return f"SharedSimulationPool(processes={self.processes}, {state})"
 
 
-def _chunk_seeds(
-    seeds: Sequence, processes: int, chunk_size: Optional[int]
-) -> List[Sequence]:
-    """Split seed items into tasks of ``chunk_size`` items each."""
-    if chunk_size is None:
-        chunk_size = max(1, len(seeds) // (processes * 4))
-    elif chunk_size < 1:
-        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [
-        seeds[start:start + chunk_size]
-        for start in range(0, len(seeds), chunk_size)
-    ]
+# ----------------------------------------------------------------------
+# Dispatch and fold
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class WorkerTelemetry:
+    """Driver-side telemetry configuration for one run.
+
+    Built by :meth:`MonteCarlo.run` (progress only: its chunks count
+    straight into the driver's instrumentation) and
+    :meth:`MonteCarlo.run_parallel` from the explicit/ambient
+    instrumentation, span collector, and progress reporter.  The
+    default — ``None`` everywhere — is telemetry off.
+    """
+
+    instrumentation: Optional[Instrumentation] = None
+    collector: Optional[SpanCollector] = None
+    span_parent: Optional[Dict[str, str]] = None
+    progress: Optional[Any] = None  # ProgressReporter
+    phase: str = "mc.run_parallel"
 
 
-class _TelemetryFold:
-    """Driver-side accumulator folding returning chunk telemetry.
+class _Fold:
+    """Driver side of the pipeline: results in seed order to payloads.
 
     Merges worker registries into the parent instrumentation, routes
-    span records to the collector, emits progress events, and — once
-    the dispatch completes — publishes per-worker utilization gauges.
+    span records to the collector, builds the run's progress events,
+    and — once the dispatch completes — publishes per-worker
+    utilization gauges.
     """
 
     def __init__(self, telemetry: WorkerTelemetry, total: int):
         self.telemetry = telemetry
         self.total = total
+        # Trajectories between in-chunk progress events.
+        self.step = max(1, min(1000, total // 50))
+        self.next = self.step
         self.completed = 0
         self.start = time.perf_counter()
         # pid -> [chunks, trajectories, busy seconds], ordinal by first
         # appearance in (deterministic) seed-order completion.
-        self.workers: "Dict[int, List[float]]" = {}
+        self.workers: Dict[int, List[float]] = {}
 
-    def fold(self, result: ChunkResult) -> Any:
+    def __call__(self, results: Iterable[ChunkResult]) -> Iterator[Any]:
         telemetry = self.telemetry
-        self.completed += result.n_trajectories
-        stats = self.workers.setdefault(result.pid, [0, 0, 0.0])
-        stats[0] += 1
-        stats[1] += result.n_trajectories
-        stats[2] += result.seconds
-        if telemetry.instrumentation is not None and result.registry is not None:
-            telemetry.instrumentation.registry.merge(result.registry)
-        if telemetry.collector is not None and result.span is not None:
-            telemetry.collector.add_record(result.span)
-        if telemetry.progress is not None:
-            elapsed = time.perf_counter() - self.start
-            rate = self.completed / elapsed if elapsed > 0 else None
-            remaining = self.total - self.completed
-            telemetry.progress.update(
-                ProgressEvent(
-                    phase=telemetry.phase,
-                    completed=self.completed,
-                    total=self.total,
-                    elapsed_seconds=elapsed,
-                    rate_per_sec=rate,
-                    eta_seconds=(remaining / rate) if rate else None,
-                    done=self.completed >= self.total,
-                )
-            )
-        return result.payload
-
-    def finish(self) -> None:
-        instrumentation = self.telemetry.instrumentation
+        for result in results:
+            self.completed += result.n_trajectories
+            self.next = self.completed + self.step
+            stats = self.workers.setdefault(result.pid, [0, 0, 0.0])
+            stats[0] += 1
+            stats[1] += result.n_trajectories
+            stats[2] += result.seconds
+            if telemetry.instrumentation is not None and result.registry is not None:
+                telemetry.instrumentation.registry.merge(result.registry)
+            if telemetry.collector is not None and result.span is not None:
+                telemetry.collector.add_record(result.span)
+            self.report(self.completed)
+            yield result.payload
+        instrumentation = telemetry.instrumentation
         if instrumentation is None or not self.workers:
             return
         instrumentation.set_gauge(SIM_WORKERS, len(self.workers))
-        for ordinal, pid in enumerate(self.workers):
-            chunks, trajectories, busy = self.workers[pid]
+        for ordinal, (chunks, trajectories, busy) in enumerate(self.workers.values()):
             prefix = f"{SIM_WORKER_PREFIX}.{ordinal}"
             instrumentation.set_gauge(f"{prefix}.chunks", chunks)
             instrumentation.set_gauge(f"{prefix}.trajectories", trajectories)
             instrumentation.set_gauge(f"{prefix}.busy_seconds", busy)
 
+    def tick(self, rows: int, done: int) -> None:
+        """In-chunk progress: ``done`` of the running chunk's ``rows``.
 
-def _dispatch_chunks(
+        Emits at most every :attr:`step` trajectories and leaves the
+        chunk's last row to the boundary event.
+        """
+        completed = self.completed + done
+        if completed >= self.next and done < rows:
+            self.next = completed + self.step
+            self.report(completed)
+
+    def report(self, completed: int) -> None:
+        """Emit the run's progress event (the only place one is built)."""
+        progress = self.telemetry.progress
+        if progress is None:
+            return
+        elapsed = time.perf_counter() - self.start
+        rate = completed / elapsed if elapsed > 0 else None
+        progress.update(
+            ProgressEvent(
+                phase=self.telemetry.phase,
+                completed=completed,
+                total=self.total,
+                elapsed_seconds=elapsed,
+                rate_per_sec=rate,
+                eta_seconds=((self.total - completed) / rate) if rate else None,
+                done=completed >= self.total,
+            )
+        )
+
+
+def _tasks(
     simulator: FMTSimulator,
-    chunks: List[Sequence],
+    seeds: Sequence,
+    processes: int,
+    chunk_size: Optional[int],
+    objects: bool,
+    telemetry: WorkerTelemetry,
+) -> Tuple[Iterator[ChunkTask], int]:
+    """The run's tasks (cut lazily, in seed order) and its trajectory count.
+
+    ``chunk_size`` counts seed items per task.  By default a lockstep
+    chunk item is a task of its own, and per-trajectory seeds are cut
+    into ``processes * 4`` tasks of at most
+    :data:`MAX_TASK_TRAJECTORIES`.
+    """
+    if processes < 1:
+        raise ValidationError(f"processes must be >= 1, got {processes}")
+    lockstep = not objects and runs_lockstep(simulator)
+    if chunk_size is None:
+        chunk_size = 1 if lockstep else min(
+            MAX_TASK_TRAJECTORIES, max(1, len(seeds) // (processes * 4))
+        )
+    elif chunk_size < 1:
+        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+    tasks = (
+        ChunkTask(
+            index=index,
+            seeds=seeds[start:start + chunk_size],
+            objects=objects,
+            span_parent=telemetry.span_parent,
+            collect_metrics=telemetry.instrumentation is not None,
+        )
+        for index, start in enumerate(range(0, len(seeds), chunk_size))
+    )
+    return tasks, _rows(seeds) if lockstep else len(seeds)
+
+
+def _dispatch(
+    simulator: FMTSimulator,
+    tasks: Iterable[ChunkTask],
+    total: int,
     processes: int,
     pool: Optional[SharedSimulationPool],
-    as_batch: bool,
-    telemetry: Optional[WorkerTelemetry] = None,
-    shm_writer: Optional[ShmBatchWriter] = None,
-) -> Iterator:
-    """Yield per-chunk worker payloads in seed order.
+    telemetry: WorkerTelemetry,
+) -> Iterator[Any]:
+    """Yield the tasks' payloads in seed order.
 
-    Shared machinery behind :func:`sample_parallel` and
-    :func:`sample_parallel_batch`; ``as_batch`` selects the worker
-    representation (object lists vs packed columns).  With an active
-    :class:`WorkerTelemetry`, tasks carry :class:`ChunkExtras`, workers
-    return :class:`ChunkResult`, and the telemetry is folded driver-
-    side as each chunk completes.  With a :class:`ShmBatchWriter`
-    (batch representation only) each task carries its chunk's
-    :class:`~repro.simulation.shm.ShmChunkSpec`, workers scatter their
-    columns into the shared segment, and the yielded payloads are
-    :class:`~repro.simulation.shm.ShmChunkHandle` records.
+    One process runs the tasks in-process, the pipeline's serial path;
+    more run them on ``pool``, or on a dedicated pool used once.
     """
-    if telemetry is not None and not telemetry.active:
-        telemetry = None
-    rows = [_rows(chunk) for chunk in chunks]
-    total = sum(rows)
+    fold = _Fold(telemetry, total)
     logger.debug(
         kv(
-            "sample_parallel dispatch",
+            "chunk dispatch",
             trajectories=total,
             processes=processes,
-            chunks=len(chunks),
-            chunk_rows=max(rows) if rows else 0,
             shared=pool is not None,
-            as_batch=as_batch,
-            telemetry=telemetry is not None,
-            shm=shm_writer is not None,
         )
     )
-    fold = _TelemetryFold(telemetry, total) if telemetry is not None else None
-    extras = None
-    if telemetry is not None:
-        extras = [
-            ChunkExtras(
-                span_parent=telemetry.span_parent,
-                collect_metrics=telemetry.instrumentation is not None,
-                chunk_index=index,
-                as_batch=as_batch,
-                shm=(
-                    shm_writer.spec(index) if shm_writer is not None else None
-                ),
+    if processes == 1:
+        watched = telemetry.progress is not None
+        yield from fold(
+            _run_chunk(
+                simulator,
+                task,
+                partial(fold.tick, _rows(task.seeds)) if watched else None,
             )
-            for index in range(len(chunks))
-        ]
-    completed = 0
+            for task in tasks
+        )
+        return
+    owned = pool is None
+    if owned:
+        pool = SharedSimulationPool(processes)
+    blob = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(blob).hexdigest()
     try:
-        if pool is not None:
-            blob = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(blob).hexdigest()
-            if extras is not None:
-                payloads: List[Tuple] = [
-                    (digest, blob, chunk, extra)
-                    for chunk, extra in zip(chunks, extras)
-                ]
-                worker = _shared_worker_chunk_telemetry
-            elif shm_writer is not None:
-                payloads = [
-                    (digest, blob, chunk, shm_writer.spec(index))
-                    for index, chunk in enumerate(chunks)
-                ]
-                worker = _shared_worker_batch_columns_shm
-            else:
-                payloads = [(digest, blob, chunk) for chunk in chunks]
-                worker = (
-                    _shared_worker_batch_columns
-                    if as_batch
-                    else _shared_worker_batch
-                )
-            for index, result in enumerate(pool.executor().map(worker, payloads)):
-                completed += rows[index]
-                yield fold.fold(result) if fold is not None else result
-        else:
-            with ProcessPoolExecutor(
-                max_workers=processes,
-                initializer=_init_worker,
-                initargs=(simulator,),
-            ) as executor:
-                if extras is not None:
-                    tasks: Sequence = list(zip(chunks, extras))
-                    worker = _worker_chunk_telemetry
-                elif shm_writer is not None:
-                    tasks = [
-                        (chunk, shm_writer.spec(index))
-                        for index, chunk in enumerate(chunks)
-                    ]
-                    worker = _worker_batch_columns_shm
-                else:
-                    tasks = chunks
-                    worker = _worker_batch_columns if as_batch else _worker_batch
-                for index, result in enumerate(executor.map(worker, tasks)):
-                    completed += rows[index]
-                    yield fold.fold(result) if fold is not None else result
-        if fold is not None:
-            fold.finish()
+        jobs = [(digest, blob, task) for task in tasks]
+        yield from fold(pool.executor().map(_pool_task, jobs))
     except BrokenProcessPool as exc:
-        if pool is not None:
-            pool.invalidate()
+        pool.invalidate()
         logger.error(
             kv(
                 "worker process crashed",
                 processes=processes,
-                completed=completed,
+                completed=fold.completed,
                 total=total,
             )
         )
         raise SimulationError(
             "a Monte Carlo worker process terminated abruptly "
-            f"(completed {completed}/{total} trajectories); "
+            f"(completed {fold.completed}/{total} trajectories); "
             "rerun with processes=1 to reproduce the failure in-process"
         ) from exc
+    finally:
+        if owned:
+            pool.shutdown()
 
 
 def sample_parallel(
@@ -660,9 +607,10 @@ def sample_parallel(
     run over the same seeds, regardless of worker scheduling).  When a
     :class:`SharedSimulationPool` is given its workers are reused and
     ``processes`` is taken from the pool; otherwise a dedicated pool is
-    created for this call.  ``telemetry`` opts into the worker
-    metric/span/progress round-trip (see the module docstring) —
-    trajectories are bit-identical with or without it.
+    used for this call (none at all for one process).  ``telemetry``
+    opts into the worker metric/span/progress round-trip (see the
+    module docstring) — trajectories are bit-identical with or without
+    it.
 
     Raises
     ------
@@ -672,15 +620,10 @@ def sample_parallel(
     """
     if pool is not None:
         processes = pool.processes
-    if processes < 1:
-        raise ValidationError(f"processes must be >= 1, got {processes}")
-    if processes == 1:
-        return simulate_batch(simulator, seeds)
+    telemetry = telemetry if telemetry is not None else WorkerTelemetry()
+    tasks, total = _tasks(simulator, seeds, processes, chunk_size, True, telemetry)
     results: List[Trajectory] = []
-    for chunk in _dispatch_chunks(
-        simulator, _chunk_seeds(seeds, processes, chunk_size), processes,
-        pool, as_batch=False, telemetry=telemetry,
-    ):
+    for chunk in _dispatch(simulator, tasks, total, processes, pool, telemetry):
         results.extend(chunk)
     return results
 
@@ -696,11 +639,11 @@ def sample_parallel_batch(
 ) -> TrajectoryBatch:
     """Like :func:`sample_parallel`, returning packed batch columns.
 
-    Workers ship :class:`~repro.simulation.batch.TrajectoryBatch`
-    columns instead of pickled object lists — the resulting batch's
-    columns (and hence every KPI computed from them) are bit-identical
-    to ``TrajectoryBatch.from_trajectories(sample_parallel(...))``,
-    while resident memory stays O(columns).
+    Tasks return :class:`~repro.simulation.batch.TrajectoryBatch`
+    columns instead of object lists — the resulting batch's columns
+    (and hence every KPI computed from them) are bit-identical to
+    ``TrajectoryBatch.from_trajectories(sample_parallel(...))``, while
+    resident memory stays O(columns).
 
     ``seeds`` holds the seed items of :func:`simulate_batch_columns`,
     and the result equals ``simulate_batch_columns(simulator, seeds)``
@@ -709,53 +652,40 @@ def sample_parallel_batch(
     ``(size, seed)`` chunk item per task, so the pool balances load by
     chunk count.
 
-    By default (``use_shared_memory=None`` → on where supported) the
-    columns never ride the result pipe at all: the driver pre-sizes one
-    ``multiprocessing.shared_memory`` segment from the chunk plan,
-    workers scatter their columns into it at their chunk's row offset,
-    and the driver materializes the final batch with a single copy out
-    of the segment (see :mod:`repro.simulation.shm`).  The segment is
-    unlinked in a ``finally`` even when a worker crashes.  Pass
+    On a pool, by default (``use_shared_memory=None`` → on where
+    supported) the columns never ride the result pipe at all: the
+    driver pre-sizes one ``multiprocessing.shared_memory`` segment
+    from the tasks' row counts, workers scatter their columns into it
+    at their task's row offset, and the driver materializes the final
+    batch with a single copy out of the segment (see
+    :mod:`repro.simulation.shm`).  The segment is unlinked in a
+    ``finally`` even when a worker crashes.  Pass
     ``use_shared_memory=False`` to force the pickled fold — the result
     is bit-identical either way (the test suite asserts it).
     """
     if pool is not None:
         processes = pool.processes
-    if processes < 1:
-        raise ValidationError(f"processes must be >= 1, got {processes}")
-    if processes == 1:
-        return simulate_batch_columns(simulator, seeds)
-    if chunk_size is None and runs_lockstep(simulator):
-        chunk_size = 1
-    chunks = _chunk_seeds(seeds, processes, chunk_size)
+    telemetry = telemetry if telemetry is not None else WorkerTelemetry()
+    tasks, total = _tasks(simulator, seeds, processes, chunk_size, False, telemetry)
+    horizon = simulator.config.horizon
     writer = None
-    if use_shared_memory is None:
-        use_shared_memory = shared_memory_available()
-    if use_shared_memory and shared_memory_available():
+    if processes > 1 and use_shared_memory is not False and shared_memory_available():
+        tasks = list(tasks)
         try:
-            writer = ShmBatchWriter(
-                simulator.config.horizon, [_rows(chunk) for chunk in chunks]
-            )
+            writer = ShmBatchWriter(horizon, [_rows(task.seeds) for task in tasks])
         except OSError as exc:  # pragma: no cover - constrained /dev/shm
             logger.warning(
                 kv("shared-memory segment unavailable", error=repr(exc))
             )
-            writer = None
+        else:
+            tasks = [replace(task, shm=writer.spec(task.index)) for task in tasks]
     try:
+        payloads = _dispatch(simulator, tasks, total, processes, pool, telemetry)
         if writer is not None:
-            handles = list(
-                _dispatch_chunks(
-                    simulator, chunks, processes, pool, as_batch=True,
-                    telemetry=telemetry, shm_writer=writer,
-                )
-            )
-            return writer.finalize(handles)
-        accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
-        for chunk in _dispatch_chunks(
-            simulator, chunks, processes, pool, as_batch=True,
-            telemetry=telemetry,
-        ):
-            accumulator.add_batch(chunk)
+            return writer.finalize(list(payloads))
+        accumulator = TrajectoryAccumulator(horizon=horizon)
+        for batch in payloads:
+            accumulator.add_batch(batch)
         return accumulator.finalize()
     finally:
         if writer is not None:

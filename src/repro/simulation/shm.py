@@ -1,14 +1,13 @@
 """Zero-copy shared-memory transport for parallel KPI columns.
 
-The pickled parallel path ships every worker chunk's
+The pickled pool fold ships every task's
 :class:`~repro.simulation.batch.TrajectoryBatch` columns over the
-result pipe — a serialize/deserialize/copy per chunk.  This module
-replaces the pipe with one ``multiprocessing.shared_memory`` segment
-sized up front from the chunk plan: workers write their KPI columns
-directly into the segment at their chunk's row offset, ship back only
-a tiny :class:`ShmChunkHandle`, and the driver materializes the final
-batch with one copy out of the segment — no column bytes are ever
-pickled.
+result pipe — a serialize/deserialize/copy per task.  This module is
+a task's optional write window instead: one segment
+(``multiprocessing.shared_memory``) sized up front from the tasks' row
+counts.  Workers write their KPI columns into it at their task's row
+offset and ship back only a tiny :class:`ShmChunkHandle`; the driver
+materializes the final batch with one copy out of the segment.
 
 Layout
 ------
@@ -201,8 +200,8 @@ class ShmBatchWriter:
     horizon:
         The batch horizon (workers never write it; the driver pins it).
     chunk_sizes:
-        Trajectory count per dispatched chunk, in seed order — exactly
-        the plan ``_chunk_seeds`` produced.
+        Trajectory count per pipeline task, in seed order — the rows
+        of the tasks ``sample_parallel_batch`` dispatches.
     slots_per_row:
         Failure-time slots reserved per trajectory.
     """
