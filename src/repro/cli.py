@@ -134,7 +134,8 @@ def _observability_parent() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker processes of the shared simulation pool "
-        "(default 1 = serial)",
+        "(default 1 = serial; serve defaults to the CPU count, at "
+        "most 8, and simulates every study on the pool)",
     )
     return parent
 
@@ -650,13 +651,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         # The service owns its lifecycle: it always carries an
         # instrumentation (backing /metrics) and closes the runner when
-        # the server stops.
+        # the server stops.  Every study simulates on the pool, so the
+        # job threads never hold the interpreter lock for the kernel.
         instrumentation = (
             instrumentation if instrumentation is not None else Instrumentation()
         )
         study_runner = StudyRunner(
             cache_dir=cache_dir,
-            processes=args.processes if args.processes is not None else 1,
+            processes=args.processes,
+            parallel_threshold=1,
             instrumentation=instrumentation,
         )
         return _cmd_serve(args, study_runner, instrumentation)

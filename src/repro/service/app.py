@@ -92,9 +92,13 @@ class StudyService:
     Parameters
     ----------
     runner:
-        The shared :class:`StudyRunner`; built fresh (serial, no disk
-        cache) when omitted.  Its memo/disk caches are what make
-        resubmissions synchronous.
+        The shared :class:`StudyRunner`, used as given; when omitted,
+        one with no disk cache whose pool of
+        :func:`~repro.simulation.parallel.default_process_count`
+        workers simulates every study (in the job thread on a 1-CPU
+        host).  Its memo/disk caches are what make resubmissions
+        synchronous.  A pooled runner's workers start here, before
+        any thread of the service does.
     max_pending / workers:
         Queue bound and worker-thread count (see
         :class:`~repro.service.jobs.JobQueue`).
@@ -118,10 +122,16 @@ class StudyService:
             instrumentation if instrumentation is not None else Instrumentation()
         )
         if runner is None:
-            runner = StudyRunner(instrumentation=self.instrumentation)
+            runner = StudyRunner(
+                processes=None,
+                parallel_threshold=1,
+                instrumentation=self.instrumentation,
+            )
         elif runner.instrumentation is None:
             runner.instrumentation = self.instrumentation
         self.runner = runner
+        # Fork the pool's workers before the job threads exist.
+        runner.start()
         self.jobs = JobQueue(
             runner,
             max_pending=max_pending,

@@ -19,9 +19,14 @@ the :class:`JobQueue` is the pressure valve between them:
   :class:`~repro.observability.progress.ProgressEvent` records
   (schema v1), which ``GET /v1/studies/{id}/events`` streams back.
 
-Workers are threads, not processes: the runner itself owns any process
-pool, and a worker thread spends its time inside numpy/simulation code
-anyway.
+Workers are threads, not processes: the service's runner owns the
+process pool that simulates, and a job thread only dispatches to it,
+folds, summarizes and stores.  The threads should not simulate
+themselves (they do only with a serial runner): the lockstep kernel
+holds the interpreter lock through hundreds of small numpy calls per
+epoch, so two 2,000-run studies took a median 236 ms on two threads
+against 138 ms back to back (8 pairs, 2-CPU Linux container), and
+every cached read waited behind them.
 """
 
 from __future__ import annotations

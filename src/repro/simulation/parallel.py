@@ -60,11 +60,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
+from multiprocessing import resource_tracker
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 )
@@ -357,6 +359,10 @@ class SharedSimulationPool:
     exist until the first parallel study — and a worker crash poisons
     only the current executor: the next study transparently gets a
     fresh one.
+
+    Threads may share one pool (the HTTP service's job threads do):
+    one lock guards creating, discarding and shutting down the
+    executor, so concurrent studies always get the same one.
     """
 
     def __init__(self, processes: Optional[int] = None):
@@ -366,25 +372,57 @@ class SharedSimulationPool:
             raise ValidationError(f"processes must be >= 1, got {processes}")
         self.processes = processes
         self._executor: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
 
     def executor(self) -> ProcessPoolExecutor:
-        """The live executor, created on first use."""
-        if self._executor is None:
-            logger.debug(kv("shared pool start", processes=self.processes))
-            self._executor = ProcessPoolExecutor(max_workers=self.processes)
-        return self._executor
+        """The live executor, created with its workers on first use.
+
+        The workers start here, in the calling thread, not at the
+        executor's first task: a caller that starts threads afterwards
+        (the HTTP service) then forks before it has any.
+        """
+        with self._lock:
+            if self._executor is None:
+                logger.debug(kv("shared pool start", processes=self.processes))
+                if os.name == "posix":
+                    # Workers forked after the resource tracker starts
+                    # share it (see repro.simulation.shm._attach).
+                    resource_tracker.ensure_running()
+                executor = ProcessPoolExecutor(max_workers=self.processes)
+                # One no-op per worker starts them all (a fork-context
+                # executor forks every worker at its first submit).  A
+                # worker that dies breaks the executor, so the study's
+                # own tasks report it; these results are not needed.
+                for _ in range(self.processes):
+                    executor.submit(os.getpid)
+                self._executor = executor
+            return self._executor
 
     def invalidate(self) -> None:
         """Discard a (possibly broken) executor; next use starts fresh."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
+        with self._lock:
+            executor, self._executor = self._executor, None
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+
+    def _discard(self, executor: ProcessPoolExecutor) -> None:
+        """:meth:`invalidate` ``executor`` only if it is still the live one.
+
+        Every study on a broken executor sees it break; the ones that
+        notice late must not discard the executor a later study has
+        already started in its place.
+        """
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
             executor.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self) -> None:
         """Terminate the workers (idempotent)."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        with self._lock:
+            executor, self._executor = self._executor, None
+            if executor is not None:
+                executor.shutdown(wait=True)
 
     def __enter__(self) -> "SharedSimulationPool":
         return self
@@ -570,11 +608,12 @@ def _dispatch(
         pool = SharedSimulationPool(processes)
     blob = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(blob).hexdigest()
+    executor = pool.executor()
     try:
         jobs = [(digest, blob, task) for task in tasks]
-        yield from fold(pool.executor().map(_pool_task, jobs))
+        yield from fold(executor.map(_pool_task, jobs))
     except BrokenProcessPool as exc:
-        pool.invalidate()
+        pool._discard(executor)
         logger.error(
             kv(
                 "worker process crashed",

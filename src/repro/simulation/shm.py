@@ -145,7 +145,10 @@ def _attach(name: str):
     the worker shares the driver's resource tracker, so the attach-side
     registration is a set-level no-op and the driver's ``unlink`` is
     the single deregistration — the tracker stays a crash safety net
-    that unlinks the segment if the whole process tree dies.
+    that unlinks the segment if the whole process tree dies.  The pool
+    starts the tracker before it forks the workers: a worker forked
+    first would start a tracker of its own and, on exit, report every
+    segment it ever attached as leaked.
     """
     return shared_memory.SharedMemory(name=name)
 

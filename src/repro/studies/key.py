@@ -38,6 +38,9 @@ _FORMAT_VERSION = 2
 
 CODE_SALT = f"repro-{__version__}/studies-v{_FORMAT_VERSION}"
 
+#: What ``json.dumps`` renders a ``str`` with (its default ensure_ascii).
+_encode_str = json.encoder.encode_basestring_ascii
+
 
 def canonical(obj: Any) -> str:
     """Deterministic canonical rendering of a study ingredient.
@@ -53,6 +56,23 @@ def canonical(obj: Any) -> str:
         For objects with no canonical form — better a loud failure
         than a cache key that silently aliases distinct studies.
     """
+    # Exact-type fast paths for the bulk of a model's material; each
+    # renders what its general branch below renders.  Subclasses (bool,
+    # numpy floats, ...) fall through to the general branches.
+    kind = type(obj)
+    if kind is str:
+        return "str:" + _encode_str(obj)
+    if kind is float:
+        return f"float:{obj!r}"
+    if kind is int:
+        return f"int:{obj:d}"
+    if kind is dict:
+        entries = sorted(
+            [(canonical(key), canonical(value)) for key, value in obj.items()]
+        )
+        return "{" + ",".join([f"{k}:{v}" for k, v in entries]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([canonical(item) for item in obj]) + "]"
     if obj is None:
         return "none"
     if isinstance(obj, bool):

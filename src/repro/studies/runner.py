@@ -289,7 +289,8 @@ class StudyRunner:
         In-memory artifact entries kept before LRU eviction (the disk
         cache, when enabled, still holds evicted artifacts).
     instrumentation:
-        Explicit metrics sink; falls back to the ambient
+        Explicit metrics sink for the cache counters and for the
+        simulations the runner runs; falls back to the ambient
         :func:`repro.observability.current` at call time.
     """
 
@@ -457,6 +458,18 @@ class StudyRunner:
             request.key(), "rare_event", {"config": canonical(config)}, compute
         )
 
+    def start(self) -> None:
+        """Start the shared pool's workers now (no-op for a serial runner).
+
+        They otherwise start with the first pooled study.  The workers
+        are forked, and forking a process that runs other threads can
+        deadlock a worker on a lock one of those threads held, so a
+        caller about to start threads (the HTTP service) calls this
+        first.
+        """
+        if self._pool is not None:
+            self._pool.executor()
+
     def close(self) -> None:
         """Shut down the shared pool (idempotent)."""
         if self._pool is not None:
@@ -548,7 +561,11 @@ class StudyRunner:
                     return value
             self._count(_obs.STUDY_MISSES)
             request_span.set_attribute("outcome", "miss")
-            value, extras, fresh = compute()
+            # The runner's sink also takes the simulation's sim.*
+            # metrics, whichever thread runs the study: the service's
+            # job threads have no ambient instrumentation of their own.
+            with _obs.use(self.instrumentation):
+                value, extras, fresh = compute()
             self._count(_obs.STUDY_FRESH_TRAJECTORIES, fresh)
             request_span.set_attribute("fresh_trajectories", fresh)
             logger.debug(

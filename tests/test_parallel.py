@@ -247,3 +247,84 @@ def test_worker_crash_raises_simulation_error():
     seeds = np.random.SeedSequence(0).spawn(8)
     with pytest.raises(SimulationError, match="worker process"):
         sample_parallel(_CrashingSimulator(), seeds, processes=2, chunk_size=2)
+
+
+@pytest.fixture
+def stand_in_executors(monkeypatch):
+    """Replace the pool's ProcessPoolExecutor; returns those created."""
+    import time
+
+    from repro.simulation import parallel
+
+    created = []
+
+    class StandIn:
+        def __init__(self, max_workers):
+            time.sleep(0.01)  # widen the check-then-create window
+            self.stopped = False
+            created.append(self)
+
+        def submit(self, fn, *args):
+            return None
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.stopped = True
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", StandIn)
+    return created
+
+
+def test_shared_pool_hands_two_threads_one_executor(stand_in_executors):
+    """Concurrent first uses of a shared pool create one executor.
+
+    Regression: ``executor()`` created its executor lazily without a
+    lock, so two threads could each create one, and ``shutdown()``
+    only ever stopped the one the pool kept.
+    """
+    import sys
+    import threading
+
+    from repro.simulation.parallel import SharedSimulationPool
+
+    threads_n = 8  # more threads than this project's CI runners have cores
+    pool = SharedSimulationPool(2)
+    barrier = threading.Barrier(threads_n)
+    got = []
+
+    def first_use():
+        barrier.wait(5.0)
+        got.append(pool.executor())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_use) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    created = stand_in_executors
+    assert len(created) == 1
+    assert got == [created[0]] * threads_n
+    pool.shutdown()
+    assert created[0].stopped
+
+
+def test_late_crash_report_keeps_the_rebuilt_executor(stand_in_executors):
+    """Every study on a broken executor discards it; one that notices
+    late must not discard the executor a later study started since."""
+    from repro.simulation.parallel import SharedSimulationPool
+
+    pool = SharedSimulationPool(2)
+    broken = pool.executor()
+    pool._discard(broken)  # the first study to see the crash
+    rebuilt = pool.executor()  # the next study
+    pool._discard(broken)  # a study that noticed the crash late
+    assert rebuilt is not broken
+    assert pool.executor() is rebuilt
+    assert broken.stopped and not rebuilt.stopped
+    pool.shutdown()
+    assert rebuilt.stopped

@@ -67,6 +67,100 @@ def test_canonical_rejects_unknown_objects():
         canonical(object())
 
 
+def _reference_canonical(obj):
+    """canonical() without its exact-type fast paths (the general branches)."""
+    import json
+
+    if obj is None:
+        return "none"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return f"int:{obj:d}"
+    if isinstance(obj, float):
+        return f"float:{float(obj)!r}"
+    if isinstance(obj, str):
+        return f"str:{json.dumps(obj)}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_canonical(item) for item in obj) + "]"
+    if isinstance(obj, dict):
+        entries = sorted(
+            (_reference_canonical(key), _reference_canonical(value))
+            for key, value in obj.items()
+        )
+        return "{" + ",".join(f"{k}:{v}" for k, v in entries) + "}"
+    raise TypeError(type(obj).__name__)
+
+
+class _Text(str):
+    pass
+
+
+def test_canonical_fast_paths_render_the_general_form():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.text()
+        | st.text().map(_Text)
+        | st.floats(allow_nan=False).map(np.float64)
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    def check(value):
+        assert canonical(value) == _reference_canonical(value)
+
+    check()
+
+
+def test_study_key_digests_pinned():
+    """Digests of the benchmark's studies, recorded before the fast
+    paths of canonical(): the rendering must not change a single byte."""
+    from repro.eijoint import build_ei_joint_fmt, current_policy
+    from repro.eijoint.parameters import default_cost_model, default_parameters
+    from repro.eijoint.strategies import inspection_policy
+
+    service = StudyRequest(
+        tree=build_ei_joint_fmt(),
+        strategy=current_policy(),
+        horizon=10.0,
+        cost_model=default_cost_model(),
+        seed=11,
+        n_runs=2000,
+    )
+    assert service.key().digest == (
+        "8c55126ffbddec875a02a5dd376a6455e6adf14caa3e9b54eb2640d125b950e2"
+    )
+    assert dataclasses.replace(service, kernel="vectorized").key().digest == (
+        "8a4b1eac5cc8a7b197452dccd19775426a85237b895053fc5c82041e4d7c534a"
+    )
+    parameters = default_parameters()
+    grid = StudyRequest(
+        tree=build_ei_joint_fmt(parameters),
+        strategy=inspection_policy(4.0, parameters=parameters),
+        horizon=50.0,
+        cost_model=default_cost_model(),
+        seed=7,
+        n_runs=20000,
+        kernel="vectorized",
+    )
+    assert grid.key().digest == (
+        "548ed779d701c56b474433d47da91879904ae07ad56da088fb5fbc2653ffe9c4"
+    )
+
+
 def test_strategy_signature_ignores_cosmetics(inspection_strategy):
     relabeled = dataclasses.replace(
         inspection_strategy, name="other", description="different words"
