@@ -156,9 +156,10 @@ class Engine:
         #   executed  = scheduled - cancelled - pending delta
         # from baselines recorded at the previous flush.  Cancellation
         # is the one genuinely rare operation that keeps an explicit
-        # tally; the *_carry fields absorb deltas that restore() would
-        # otherwise rewind away.  This is what keeps fully instrumented
-        # runs inside the 5% overhead budget enforced by
+        # tally; the *_carry fields absorb deltas that restore() and
+        # reset() would otherwise rewind away, so a batch of runs into
+        # one registry flushes once.  This is what keeps fully
+        # instrumented runs inside the 5% overhead budget enforced by
         # tests/test_telemetry.py: zero extra work per event.
         self._seq_base = 0
         self._pending_base = 0
@@ -175,9 +176,23 @@ class Engine:
         Handles of the abandoned calendar are detached first, so a
         stale ``cancel()`` cannot corrupt the new run's bookkeeping.
         Pending event tallies are flushed to the outgoing
-        instrumentation before it is swapped out.
+        instrumentation when a different one comes in; with the same
+        one they keep accumulating until :meth:`flush_counts`.
         """
-        self.flush_counts()
+        if instrumentation is not self._instr:
+            self.flush_counts()
+            self._instr = instrumentation
+        elif instrumentation is not None:
+            # Same registry: carry the finished run's counts, exactly
+            # as restore() does (inlined: this runs per trajectory).
+            scheduled = self._seq - self._seq_base
+            self._sched_carry += scheduled
+            self._exec_carry += (
+                scheduled
+                - (self._n_cancelled - self._cancel_base)
+                - (self._pending - self._pending_base)
+            )
+            self._cancel_base = self._n_cancelled
         for entry in self._queue:
             entry[3]._engine = None
         self._queue.clear()
@@ -188,15 +203,14 @@ class Engine:
         self._pending = 0
         self._seq_base = 0
         self._pending_base = 0
-        self._instr = instrumentation
 
     def flush_counts(self) -> None:
         """Fold the event counters derived since the last flush into
         the instrumentation.
 
-        Called automatically at the end of :meth:`run_until` and on
-        :meth:`reset`; stepwise drivers (importance splitting) that
-        abandon a run mid-calendar flush through
+        Called automatically at the end of :meth:`run_until` and when
+        :meth:`reset` swaps the instrumentation; the simulator's batched
+        and stepwise runs (:meth:`advance`) flush through
         :meth:`~repro.simulation.executor.FMTSimulator.flush_instrumentation`.
         """
         scheduled = self._sched_carry + (self._seq - self._seq_base)
@@ -376,8 +390,19 @@ class Engine:
         """Execute all events with time <= ``t_end``; clock ends at ``t_end``.
 
         Re-entrant calls are rejected (an event callback must not drive
-        the engine it runs in).
+        the engine it runs in).  The event counters are flushed at the
+        end.
         """
+        try:
+            self.advance(t_end)
+        finally:
+            if self._instr is not None:
+                self.flush_counts()
+
+    def advance(self, t_end: float) -> None:
+        """:meth:`run_until` without the counter flush, for callers that
+        flush once after many runs (:class:`~repro.simulation.executor.
+        FMTSimulator`)."""
         if self._running:
             raise SimulationError("run_until() called from within an event")
         if t_end < self.now:
@@ -394,7 +419,6 @@ class Engine:
         # mid-loop (re-entrance is rejected above).
         queue = self._queue
         heappop = heapq.heappop
-        instr = self._instr
         try:
             while not self._stopped:
                 while queue and queue[0][3].cancelled:
@@ -410,8 +434,6 @@ class Engine:
                 callback()
         finally:
             self._running = False
-            if instr is not None:
-                self.flush_counts()
         if not self._stopped:
             self.now = t_end
 

@@ -10,7 +10,8 @@
 * inspection modules fire periodically, detect targets at or past their
   threshold phase, and schedule the module's maintenance action (after
   an optional planning delay); targets found failed are replaced
-  correctively;
+  correctively (visits that cannot find anything are booked, not run:
+  see "On-demand visits" below);
 * repair modules fire periodically and apply their action to all
   targets regardless of condition;
 * a system (top-event) failure triggers the strategy's failure
@@ -30,16 +31,34 @@ resolved inspection/repair plans with prices and callbacks — and
 :meth:`_reset` restores per-run state by copying prototype dicts.
 Every optimization is **bit-identical** to the reference
 implementation: the RNG stream is consumed in exactly the same order
-(regression-locked by ``tests/test_golden_trajectory.py``).
+(regression-locked by ``tests/test_golden_trajectory.py`` and
+``tests/test_golden_corners.py``).
+
+On-demand visits: most periodic inspection visits find nothing, and
+such a visit draws nothing and changes nothing but the trajectory's
+visit count and inspection cost.  So the periodic rounds are not
+engine events.  :class:`_VisitCalendar` lists their visits once, in
+the order the engine would run them, with each visit's cost term.
+At most one engine event is armed: the first visit of a round that
+has a detectable target (re-checked whenever a phase changes).  The
+skipped visits before it are booked, by sequential addition in
+calendar order, when that visit runs, when an exponential-timing
+visit adds its own cost, at a system failure, or at the end of the
+run.  Visits that fall in downtime are neither run nor booked, as
+before.  Exponential-timing rounds and repair modules stay ordinary
+engine events.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time as _time
+from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -187,6 +206,12 @@ class SimulatorSnapshot:
     system_down: bool
     down_since: float
     trajectory: Trajectory
+    # On-demand visits: the booking cursor, the armed visit (handle and
+    # calendar index) and which periodic rounds have a detectable target.
+    visit_pos: int
+    armed: Optional[ScheduledEvent]
+    armed_at: int
+    hot: Tuple[bool, ...]
 
 
 class _ModulePlan:
@@ -212,6 +237,7 @@ class _ModulePlan:
         "action_kind",
         "action_cost",
         "callback",
+        "watch",
     )
 
     def __init__(self, module, cost_model: CostModel, events: Dict[str, BasicEvent]):
@@ -237,12 +263,73 @@ class _ModulePlan:
             self.targets = tuple(
                 (target, events[target].threshold) for target in module.targets
             )
+            # (target, threshold, phase count): what _finds_something reads.
+            self.watch = tuple(
+                (target, threshold, events[target].phases)
+                for target, threshold in self.targets
+            )
         else:
             self.delay = 0.0
             self.detect_failures = False
             self.detection_probability = 1.0
             self.visit_cost = 0.0
             self.targets = tuple((target, None) for target in module.targets)
+            self.watch = ()
+
+
+class _VisitCalendar:
+    """The periodic inspection visits of one run, in engine order.
+
+    The engine schedules each round's first visit at reset, in plan
+    order, and each later visit while running its predecessor, so
+    visits at one instant run in the order their predecessors ran:
+    rounds of period 0.25 and 0.5 that start together meet at t = 0.5
+    with the 0.5-round first.  The constructor replays that schedule
+    (``time + period`` by repeated addition, up to the horizon), so
+    index order is execution order.  It depends on the plans, the
+    horizon and the cost model only, and is shared by clones.
+    """
+
+    __slots__ = ("times", "by_plan", "plan_of", "paid_at", "paid")
+
+    def __init__(self, plans: List[_ModulePlan], horizon: float, discount_rate: float):
+        # (time, scheduling sequence, plan index); the first visits are
+        # sequenced in plan order.
+        heap = [
+            (plan.offset, index, index)
+            for index, plan in enumerate(plans)
+            if plan.offset <= horizon
+        ]
+        heapq.heapify(heap)
+        seq = len(plans)
+        times: List[float] = []
+        plan_of: List[int] = []
+        while heap:
+            time, _, index = heapq.heappop(heap)
+            times.append(time)
+            plan_of.append(index)
+            next_time = time + plans[index].period
+            if next_time <= horizon:
+                heapq.heappush(heap, (next_time, seq, index))
+                seq += 1
+        self.times = times
+        self.plan_of = plan_of
+        #: per plan, the calendar indices of its visits (ascending)
+        self.by_plan: List[List[int]] = [[] for _ in plans]
+        for position, index in enumerate(plan_of):
+            self.by_plan[index].append(position)
+        # Each visit's cost term, exactly as a visit computes it.  A
+        # zero term leaves a (never negative-zero) sum unchanged, so
+        # only the others are kept for booking.
+        self.paid_at: List[int] = []
+        self.paid: List[float] = []
+        for position, (time, index) in enumerate(zip(times, plan_of)):
+            term = plans[index].visit_cost * (
+                1.0 if discount_rate == 0.0 else math.exp(-discount_rate * time)
+            )
+            if term != 0.0:
+                self.paid_at.append(position)
+                self.paid.append(term)
 
 
 class FMTSimulator:
@@ -386,6 +473,35 @@ class FMTSimulator:
             plan.callback = partial(self._on_repair, plan)
             self._repair_plans.append(plan)
 
+        # On-demand visits (module docstring).  Exponential rounds stay
+        # engine events; periodic ones come from the calendar, built on
+        # the first run (a vectorized study never needs it).
+        self._exponential_plans = [
+            plan for plan in self._inspection_plans if plan.exponential
+        ]
+        self._periodic_plans = [
+            plan for plan in self._inspection_plans if not plan.exponential
+        ]
+        self._calendar: Optional[_VisitCalendar] = None
+        self._visit_cb = self._on_visit
+        # Per component: the periodic rounds inspecting it, and the
+        # phases whose entry can change whether they find it (its
+        # threshold, and failure).
+        watchers: Dict[str, List[int]] = {name: [] for name in self._events}
+        for index, plan in enumerate(self._periodic_plans):
+            for target, _ in plan.targets:
+                watchers[target].append(index)
+        self._watchers: Dict[str, Tuple[int, ...]] = {
+            name: tuple(plans) for name, plans in watchers.items()
+        }
+        self._triggers: Dict[str, frozenset] = {
+            name: (
+                frozenset((self._events[name].threshold, self._n_phases[name]))
+                if plans else frozenset()
+            )
+            for name, plans in watchers.items()
+        }
+
     def _init_per_run_state(self) -> None:
         """Create pristine per-run state (no RNG activity)."""
         self._instr: Optional[Instrumentation] = self.config.instrumentation
@@ -416,18 +532,28 @@ class FMTSimulator:
             horizon=self.config.horizon,
             events_recorded=self.config.record_events,
         )
+        self._batched = False
+        self._zero_visits()
         self._zero_tallies()
 
+    def _zero_visits(self) -> None:
+        """Nothing booked, nothing armed, no round with a find."""
+        self._visit_pos = 0
+        self._armed: Optional[ScheduledEvent] = None
+        self._armed_at = -1
+        self._hot = [False] * len(self._periodic_plans)
+
     # Per-event counters are batched as plain int tallies and folded
-    # into the registry once per trajectory (flush_instrumentation):
-    # a registry.count() per event costs ~4x an int increment, which
-    # blows the <=5% instrumented-run overhead budget on models with
-    # hundreds of events per trajectory.  Inspections and preventive
-    # actions go one step further: the trajectory record already
-    # counts them unconditionally, so their flush values are derived
-    # from baselines instead of tallied — zero extra work per visit on
-    # the single hottest callback (_on_inspection).
+    # into the registry once per chunk of trajectories, or per
+    # simulate() call (flush_instrumentation): a registry.count() per
+    # event costs ~4x an int increment, and even one flush per
+    # trajectory blows the <=5% instrumented-run overhead budget once
+    # a trajectory takes a few hundred microseconds.  Inspections and
+    # preventive actions go one step further: the trajectory record
+    # already counts them unconditionally (booked visits included), so
+    # their flush values are derived from baselines instead of tallied.
     _TALLY_COUNTERS = (
+        ("_n_trajectories", _obs.SIM_TRAJECTORIES),
         ("_n_phase_jumps", _obs.SIM_PHASE_JUMPS),
         ("_n_component_failures", _obs.SIM_COMPONENT_FAILURES),
         ("_n_rdep_accelerations", _obs.SIM_RDEP_ACCELERATIONS),
@@ -441,6 +567,8 @@ class FMTSimulator:
     def _zero_tallies(self) -> None:
         for attr, _ in self._TALLY_COUNTERS:
             setattr(self, attr, 0)
+        # Per-trajectory sim.simulate.seconds samples, observed at the flush.
+        self._durations: List[float] = []
         # Carries + trajectory baselines for the derived counters
         # (restore() folds pre-rewind deltas into the carries).
         self._n_inspections = 0
@@ -451,11 +579,12 @@ class FMTSimulator:
     def flush_instrumentation(self) -> None:
         """Fold the batched event tallies into the attached registry.
 
-        ``simulate`` calls this automatically; step-driven runs (the
-        importance-splitting drivers) must call it once the stepping is
-        over, or the trailing tallies of the final segment would never
-        reach the registry.  Always safe to call: with no registry
-        attached or nothing tallied it is a no-op.
+        ``simulate`` calls this automatically, and the chunk pipeline
+        once per chunk; step-driven runs (the importance-splitting
+        drivers) must call it once the stepping is over, or the
+        trailing tallies of the final segment would never reach the
+        registry.  Always safe to call: with no registry attached or
+        nothing tallied it is a no-op.
         """
         self._engine.flush_counts()
         trajectory = self._trajectory
@@ -469,6 +598,8 @@ class FMTSimulator:
         )
         instr = self._instr
         if instr is not None:
+            if self._durations:
+                self._sim_timer.observe_many(self._durations)
             count = instr.count
             if inspections:
                 count(_obs.SIM_INSPECTIONS, inspections)
@@ -483,6 +614,7 @@ class FMTSimulator:
         self._n_preventive_actions = 0
         self._insp_base = trajectory.n_inspections
         self._prev_base = trajectory.n_preventive_actions
+        self._durations.clear()
 
     def _set_rng(self, rng: np.random.Generator) -> None:
         """Install ``rng`` and cache its hot samplers.
@@ -524,6 +656,7 @@ class FMTSimulator:
         "_down_since",
         "_trajectory",
         # batched event tallies, carries and baselines (_zero_tallies)
+        "_n_trajectories",
         "_n_phase_jumps",
         "_n_component_failures",
         "_n_rdep_accelerations",
@@ -536,9 +669,21 @@ class FMTSimulator:
         "_n_repair_rounds",
         "_insp_base",
         "_prev_base",
+        "_durations",
+        "_batched",
+        # on-demand visits (_zero_visits)
+        "_visit_pos",
+        "_armed",
+        "_armed_at",
+        "_hot",
     )
 
-    _REBUILT_ATTRS = ("_jump_cb", "_inspection_plans", "_repair_plans")
+    # The visit calendar is rebuilt, not shipped: pickled, it would
+    # grow a 12-rounds-a-year simulator from 5.5 KB to ~47 KB per task.
+    _REBUILT_ATTRS = (
+        "_jump_cb", "_inspection_plans", "_repair_plans", "_exponential_plans",
+        "_periodic_plans", "_calendar", "_visit_cb", "_watchers", "_triggers",
+    )
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -555,34 +700,41 @@ class FMTSimulator:
         """A fresh simulator sharing this one's validated structure.
 
         Skips strategy application, tree validation and static-table
-        construction — the clone references the same immutable tables —
+        construction — the clone references the same immutable tables,
+        and the visit calendar once built —
         while per-run state and the ``self``-bound callbacks are its
         own.  Behaviour is bit-identical to a newly constructed
         simulator with the same arguments.
         """
         new = object.__new__(type(self))
         new.__setstate__(self.__getstate__())
+        new._calendar = self._calendar
         return new
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def simulate(self, rng: np.random.Generator) -> Trajectory:
-        """Run one trajectory to the horizon and return its record."""
+        """Run one trajectory to the horizon and return its record.
+
+        Its telemetry tallies reach the registry before it returns,
+        or, inside a :meth:`batch` block, once at the block's end.
+        """
         self._reset(rng)
         if self._instr is None:
-            self._engine.run_until(self._horizon)
+            self._engine.advance(self._horizon)
             self._finalize()
         else:
             # Timed inline (not via Timer.time()): the contextmanager
             # plus the per-call registry lookup cost more than the
             # whole rest of the per-trajectory telemetry.
             start = _time.perf_counter()
-            self._engine.run_until(self._horizon)
+            self._engine.advance(self._horizon)
             self._finalize()
-            self._sim_timer.observe(_time.perf_counter() - start)
-            self._instr.count(_obs.SIM_TRAJECTORIES)
-            self.flush_instrumentation()
+            self._durations.append(_time.perf_counter() - start)
+            self._n_trajectories += 1
+            if not self._batched:
+                self.flush_instrumentation()
         if logger.isEnabledFor(10):  # logging.DEBUG, avoided on the hot path
             trajectory = self._trajectory
             logger.debug(
@@ -597,6 +749,19 @@ class FMTSimulator:
                 )
             )
         return self._trajectory
+
+    @contextmanager
+    def batch(self) -> Iterator["FMTSimulator"]:
+        """Fold the tallies of the :meth:`simulate` calls in the block
+        into the registry once, at its end (the chunk pipeline runs each
+        chunk in one): a flush per trajectory would cost a watched run
+        more than its 5% telemetry budget."""
+        self._batched = True
+        try:
+            yield self
+        finally:
+            self._batched = False
+            self.flush_instrumentation()
 
     # ------------------------------------------------------------------
     # Stepwise driving and state forking (importance splitting)
@@ -628,7 +793,12 @@ class FMTSimulator:
 
     @property
     def trajectory(self) -> Trajectory:
-        """The record of the active run (mutated as the run advances)."""
+        """The record of the active run (mutated as the run advances).
+
+        Mid-run, its visit count and inspection cost may lag: periodic
+        visits that found nothing are booked later (module docstring),
+        at the latest when :meth:`finish` closes the record.
+        """
         return self._trajectory
 
     def begin(self, rng: np.random.Generator) -> None:
@@ -656,7 +826,7 @@ class FMTSimulator:
     def finish(self) -> Trajectory:
         """Run the remaining events to the horizon and close the record."""
         if not self._engine.stopped:
-            self._engine.run_until(self._horizon)
+            self._engine.advance(self._horizon)
         self._finalize()
         return self._trajectory
 
@@ -681,6 +851,10 @@ class FMTSimulator:
             system_down=self._system_down,
             down_since=self._down_since,
             trajectory=self._trajectory.copy(),
+            visit_pos=self._visit_pos,
+            armed=self._armed,
+            armed_at=self._armed_at,
+            hot=tuple(self._hot),
         )
 
     def restore(
@@ -733,6 +907,12 @@ class FMTSimulator:
         self._trajectory = snapshot.trajectory.copy()
         self._insp_base = self._trajectory.n_inspections
         self._prev_base = self._trajectory.n_preventive_actions
+        self._visit_pos = snapshot.visit_pos
+        self._armed = (
+            None if snapshot.armed is None else mapping[id(snapshot.armed)]
+        )
+        self._armed_at = snapshot.armed_at
+        self._hot = list(snapshot.hot)
         if rng is not None:
             self._set_rng(rng)
 
@@ -756,16 +936,26 @@ class FMTSimulator:
     # Setup / teardown
     # ------------------------------------------------------------------
     def _reset(self, rng: np.random.Generator) -> None:
-        # Fold any tallies stranded by an abandoned step-driven run
-        # into the *outgoing* registry before swapping in the new one.
-        self.flush_instrumentation()
         instr = self.config.instrumentation
-        self._instr = instr if instr is not None else _obs.current()
-        self._sim_timer = (
-            None if self._instr is None
-            else self._instr.timer(_obs.TIMER_SIMULATE)
-        )
-        self._engine.reset(instrumentation=self._instr)
+        if instr is None:
+            instr = _obs.current()
+        if instr is not self._instr:
+            # Fold the tallies so far into the *outgoing* registry
+            # before swapping in the new one.
+            self.flush_instrumentation()
+            self._instr = instr
+            self._sim_timer = (
+                None if instr is None else instr.timer(_obs.TIMER_SIMULATE)
+            )
+        elif instr is not None:
+            # Same registry: the finished run's derived counts join the
+            # carries, and the tallies keep counting until the flush.
+            trajectory = self._trajectory
+            self._n_inspections += trajectory.n_inspections - self._insp_base
+            self._n_preventive_actions += (
+                trajectory.n_preventive_actions - self._prev_base
+            )
+        self._engine.reset(instrumentation=instr)
         self._set_rng(rng)
         self._phase = dict(self._phase0)
         self._accel = dict(self._accel0)
@@ -780,11 +970,21 @@ class FMTSimulator:
             horizon=self._horizon,
             events_recorded=self.config.record_events,
         )
-        self._zero_tallies()
+        self._insp_base = 0
+        self._prev_base = 0
+        if self._calendar is None:
+            self._calendar = _VisitCalendar(
+                self._periodic_plans, self._horizon, self._discount_rate
+            )
+        # Every phase is 0 and thresholds are >= 1, so no round can find
+        # anything yet: nothing to arm.
+        self._zero_visits()
 
+        # Periodic rounds draw nothing at their first tick, so leaving
+        # them out keeps the draw order.
         for name in self._events:
             self._schedule_transition(name)
-        for plan in self._inspection_plans:
+        for plan in self._exponential_plans:
             self._schedule_tick(plan, self._first_tick(plan), _PRIO_INSPECTION)
         for plan in self._repair_plans:
             self._schedule_tick(plan, self._first_tick(plan), _PRIO_REPAIR)
@@ -794,11 +994,6 @@ class FMTSimulator:
             return self._rng_exponential(plan.period)
         return plan.offset
 
-    def _next_tick(self, plan: _ModulePlan) -> float:
-        if plan.exponential:
-            return self._engine.now + self._rng_exponential(plan.period)
-        return self._engine.now + plan.period
-
     def _schedule_tick(self, plan: _ModulePlan, time: float, priority: int) -> None:
         if time > self._horizon:
             return
@@ -806,10 +1001,13 @@ class FMTSimulator:
 
     def _finalize(self) -> None:
         if self._system_down:
+            # The visits left all fall in the final downtime.
             elapsed = self._horizon - self._down_since
             if elapsed > 0.0:
                 self._trajectory.downtime += elapsed
                 self._charge_downtime(self._down_since, self._horizon)
+        else:
+            self._settle(len(self._calendar.times))
 
     def _discount_factor(self, time: float) -> float:
         # Mirrors CostModel.discount_factor exactly (bit-identity);
@@ -856,6 +1054,8 @@ class FMTSimulator:
             self._set_component_state(name, failed=True)
         else:
             self._schedule_transition(name)
+        if phase in self._triggers[name]:
+            self._recheck(name)
 
     def _cancel_transition(self, name: str) -> None:
         pending = self._transition[name]
@@ -975,6 +1175,13 @@ class FMTSimulator:
     # ------------------------------------------------------------------
     def _on_system_failure(self) -> None:
         now = self._engine.now
+        # Visits before this instant ran with the system up; the rest
+        # fall in downtime until the restoration drops them.
+        self._settle(bisect_left(self._calendar.times, now))
+        if self._armed is not None:
+            self._armed.cancel()
+            self._armed = None
+        self._armed_at = -1
         if self._instr is not None:
             self._n_system_failures += 1
         self._trajectory.failure_times.append(now)
@@ -1022,6 +1229,10 @@ class FMTSimulator:
             if self._state[name]:
                 self._set_component_state(name, failed=False)
             self._schedule_transition(name)
+        # Visits in the downtime are neither run nor booked; the ones at
+        # this instant come after the restoration.
+        self._visit_pos = bisect_left(self._calendar.times, now)
+        self._rewatch(self._visit_pos)
 
     def _charge_downtime(self, start: float, end: float) -> None:
         self._trajectory.costs.downtime += (
@@ -1032,25 +1243,44 @@ class FMTSimulator:
     # Inspection modules
     # ------------------------------------------------------------------
     def _on_inspection(self, plan: _ModulePlan) -> None:
+        """A visit of an exponential-timing round (an engine event)."""
         now = self._engine.now
-        # Reschedule first (inlined _next_tick/_schedule_tick): the
-        # exponential-timing RNG draw happens before any detection
+        # Reschedule first: the RNG draw happens before any detection
         # draws of this visit, exactly as in the reference code.
-        if plan.exponential:
-            next_time = now + self._rng_exponential(plan.period)
-        else:
-            next_time = now + plan.period
+        next_time = now + self._rng_exponential(plan.period)
         if next_time <= self._horizon:
             self._schedule(next_time, plan.callback, _PRIO_INSPECTION)
         if self._system_down:
             return
+        # The skipped periodic visits before this instant add their
+        # costs first.  A periodic visit at the very same instant (a
+        # tie of a continuous draw) is taken to come after this one.
+        position = bisect_left(self._calendar.times, now)
+        self._settle(position)
         trajectory = self._trajectory
         trajectory.n_inspections += 1
-        instr = self._instr
         rate = self._discount_rate
         trajectory.costs.inspections += plan.visit_cost * (
             1.0 if rate == 0.0 else math.exp(-rate * now)
         )
+        self._inspect(plan)
+        self._rewatch(position)
+
+    def _on_visit(self) -> None:
+        """The armed periodic visit: book the skipped ones, then run it."""
+        index = self._armed_at
+        self._armed = None
+        self._armed_at = -1
+        # Its own count and cost come last, as its turn in the calendar.
+        self._settle(index + 1)
+        self._inspect(self._periodic_plans[self._calendar.plan_of[index]])
+        self._rewatch(index + 1)
+
+    def _inspect(self, plan: _ModulePlan) -> None:
+        """A visit's findings: corrective replacements, detections and
+        the work orders they raise (its count and cost are booked by
+        the caller)."""
+        instr = self._instr
         state = self._state
         phase = self._phase
         pending_actions = self._pending_actions
@@ -1083,6 +1313,93 @@ class FMTSimulator:
                 )
                 pending_actions[target][plan.name] = handle
 
+    # ------------------------------------------------------------------
+    # On-demand periodic visits (module docstring)
+    # ------------------------------------------------------------------
+    def _finds_something(self, plan: _ModulePlan) -> bool:
+        """Whether a visit of ``plan`` now would draw or act.
+
+        Mirrors :meth:`_inspect`: a failed target matters only to a
+        round that detects failures, a working one from its threshold
+        on.  A visit that finds nothing draws nothing and changes
+        nothing but the visit count and the inspection cost.
+        """
+        phase = self._phase
+        for target, threshold, n_phases in plan.watch:
+            k = phase[target]
+            if k >= threshold and (k < n_phases or plan.detect_failures):
+                return True
+        return False
+
+    def _recheck(self, name: str) -> None:
+        """Re-check the rounds inspecting ``name`` after its phase jumped
+        to its threshold or to failure (a transition: the visits at this
+        instant come after it)."""
+        hot = self._hot
+        plans = self._periodic_plans
+        changed = False
+        for index in self._watchers[name]:
+            finds = self._finds_something(plans[index])
+            if finds != hot[index]:
+                hot[index] = finds
+                changed = True
+        if changed:
+            self._arm(bisect_left(self._calendar.times, self._engine.now))
+
+    def _rewatch(self, position: int) -> None:
+        """Re-check every round after a visit, maintenance or a
+        restoration set phases; ``position`` is the first calendar
+        visit that comes after the current event."""
+        self._hot = [self._finds_something(plan) for plan in self._periodic_plans]
+        self._arm(position)
+
+    def _arm(self, position: int) -> None:
+        """Keep the one armed engine event on the first visit at or
+        after calendar index ``position`` of a round that can find
+        something (none while the system is down)."""
+        if self._system_down:
+            return
+        by_plan = self._calendar.by_plan
+        best = -1
+        for index, hot in enumerate(self._hot):
+            if hot:
+                visits = by_plan[index]
+                i = bisect_left(visits, position)
+                if i < len(visits) and (best < 0 or visits[i] < best):
+                    best = visits[i]
+        if best == self._armed_at:
+            return
+        if self._armed is not None:
+            self._armed.cancel()
+        self._armed_at = best
+        self._armed = (
+            None if best < 0 else self._schedule(
+                self._calendar.times[best], self._visit_cb, _PRIO_INSPECTION
+            )
+        )
+
+    def _settle(self, stop: int) -> None:
+        """Book the unbooked visits before calendar index ``stop``.
+
+        The count moves in one step; the costs are added one by one in
+        calendar order, as the visits would have added them.
+        """
+        start = self._visit_pos
+        if stop <= start:
+            return
+        self._visit_pos = stop
+        trajectory = self._trajectory
+        trajectory.n_inspections += stop - start
+        calendar = self._calendar
+        first = bisect_left(calendar.paid_at, start)
+        last = bisect_left(calendar.paid_at, stop, first)
+        if last > first:
+            costs = trajectory.costs
+            total = costs.inspections
+            for term in calendar.paid[first:last]:
+                total += term
+            costs.inspections = total
+
     def _on_delayed_action(self, plan: _ModulePlan, target: str) -> None:
         self._pending_actions[target].pop(plan.name, None)
         if self._system_down:
@@ -1091,8 +1408,10 @@ class FMTSimulator:
             # The component failed while the work order was pending;
             # the crew replaces it instead.
             self._corrective_replace(target)
-            return
-        self._perform_action(plan, target)
+        else:
+            self._perform_action(plan, target)
+        # Work orders run after the visits of their instant.
+        self._rewatch(bisect_right(self._calendar.times, self._engine.now))
 
     def _perform_action(self, plan: _ModulePlan, target: str) -> None:
         trajectory = self._trajectory
@@ -1134,6 +1453,8 @@ class FMTSimulator:
             self._n_repair_rounds += 1
         for target, _ in plan.targets:
             self._perform_action(plan, target)
+        # Repair rounds run before the visits of their instant.
+        self._rewatch(bisect_left(self._calendar.times, now))
 
     # ------------------------------------------------------------------
     # Recording

@@ -418,8 +418,8 @@ class MonteCarlo:
 
         ``progress`` (or an ambient reporter installed with
         :func:`repro.observability.use_progress`) receives rate/ETA
-        events between and inside chunks; reporting is passive, so a
-        watched run is bit-identical to a silent one.
+        events between chunks, and inside lockstep chunks; reporting is
+        passive, so a watched run is bit-identical to a silent one.
         """
         with _spans.span(
             "mc.run", {"n_runs": n_runs, "keep_trajectories": keep_trajectories}

@@ -45,7 +45,7 @@ fresh per-chunk registry, and both ride back on the result.  The fold
 merges the registries into the parent one
 (:meth:`MetricsRegistry.merge`), feeds the span records to the
 collector, builds the run's progress events (between chunks, and from
-inside in-process chunks), and finally publishes per-worker
+inside in-process lockstep chunks), and finally publishes per-worker
 utilization gauges (``sim.worker.<n>.chunks`` / ``.trajectories`` /
 ``.busy_seconds`` plus ``sim.workers``).  With telemetry off the
 results travel with empty telemetry fields.
@@ -60,10 +60,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import resource_tracker
@@ -159,16 +161,20 @@ def simulate_batch(
 
 
 def _trajectories(
-    simulator: FMTSimulator,
-    seeds: Iterable[np.random.SeedSequence],
-    progress: Optional[Callable[[int], None]] = None,
+    simulator: FMTSimulator, seeds: Iterable[np.random.SeedSequence]
 ) -> Iterator[Trajectory]:
-    """One object-engine trajectory per seed; ``progress(done)`` after each."""
+    """One object-engine trajectory per seed.
+
+    The simulator's telemetry tallies reach the registry once, when the
+    seeds run out (:meth:`FMTSimulator.batch`; any object with a
+    ``simulate(rng)`` method can stand in for the simulator), so the
+    per-trajectory path makes no telemetry call beyond the simulator's
+    own timer.
+    """
     simulate = simulator.simulate
-    for done, seed in enumerate(seeds, 1):
-        yield simulate(np.random.default_rng(seed))
-        if progress is not None:
-            progress(done)
+    with getattr(simulator, "batch", nullcontext)():
+        for seed in seeds:
+            yield simulate(np.random.default_rng(seed))
 
 
 def _rows(seeds: Sequence) -> int:
@@ -203,12 +209,15 @@ def _columns(
     progress: Optional[Callable[[int], None]] = None,
 ) -> TrajectoryBatch:
     """:func:`simulate_batch_columns`, telling ``progress`` the rows
-    done so far: per trajectory on the object engine, per calendar
-    epoch on the lockstep kernel.  The callback never touches the RNG.
+    done so far per calendar epoch on the lockstep kernel.  The object
+    engine reports at chunk boundaries only: its chunks are at most
+    :data:`MAX_TASK_TRAJECTORIES` long, and a check per trajectory
+    costs a watched run more than its 5% telemetry budget.  The
+    callback never touches the RNG.
     """
     accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
     if not runs_lockstep(simulator):
-        accumulator.extend(_trajectories(simulator, seeds, progress))
+        accumulator.extend(_trajectories(simulator, seeds))
         return accumulator.finalize()
     kernel = VectorizedKernel(simulator)
     instr = simulator.config.instrumentation
@@ -270,7 +279,7 @@ class ChunkResult:
 def _run_chunk(
     simulator: FMTSimulator,
     task: ChunkTask,
-    progress: Optional[Callable[[int], None]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> ChunkResult:
     """Simulate one task, in-process or on a worker.
 
@@ -278,11 +287,13 @@ def _run_chunk(
     registry (temporarily swapped into the simulator config), so
     long-lived workers ship deltas, not cumulative totals, and the
     fold can merge every chunk without double counting.  ``progress``
-    (in-process runs only) receives the rows done inside the chunk.
-    Strictly passive: the trajectories are the same with or without
-    telemetry.
+    (in-process runs only, :meth:`_Fold.tick`) receives the chunk's
+    rows and the rows done inside a lockstep chunk.  Strictly passive:
+    the trajectories are the same with or without telemetry.
     """
     rows = _rows(task.seeds)
+    if progress is not None:
+        progress = partial(progress, rows)
     span = None
     if task.span_parent is not None:
         span = Span.start(
@@ -303,7 +314,7 @@ def _run_chunk(
         simulator.config = replace(original, instrumentation=instrumentation)
     try:
         if task.objects:
-            payload = list(_trajectories(simulator, task.seeds, progress))
+            payload = list(_trajectories(simulator, task.seeds))
         else:
             payload = _columns(simulator, task.seeds, progress)
     finally:
@@ -345,6 +356,26 @@ def _pool_task(job: Tuple[str, bytes, ChunkTask]) -> ChunkResult:
     return _run_chunk(simulator, task)
 
 
+@contextmanager
+def _interrupts_blocked() -> Iterator[None]:
+    """Block SIGINT in this thread while it forks pool workers.
+
+    Ctrl-C in a terminal signals the whole process group.  The driver
+    handles it (:func:`_dispatch` cancels the queued chunks), so the
+    workers, which inherit this thread's signal mask, never see it and
+    print no traceback.  An interrupt of this process that arrives
+    meanwhile is delivered when the mask is restored.
+    """
+    if not hasattr(signal, "pthread_sigmask"):  # pragma: no cover - not POSIX
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 class SharedSimulationPool:
     """A process pool reusable across many (simulator, seeds) studies.
 
@@ -379,7 +410,8 @@ class SharedSimulationPool:
 
         The workers start here, in the calling thread, not at the
         executor's first task: a caller that starts threads afterwards
-        (the HTTP service) then forks before it has any.
+        (the HTTP service) then forks before it has any.  They start
+        with SIGINT blocked (:func:`_interrupts_blocked`).
         """
         with self._lock:
             if self._executor is None:
@@ -388,13 +420,14 @@ class SharedSimulationPool:
                     # Workers forked after the resource tracker starts
                     # share it (see repro.simulation.shm._attach).
                     resource_tracker.ensure_running()
-                executor = ProcessPoolExecutor(max_workers=self.processes)
-                # One no-op per worker starts them all (a fork-context
-                # executor forks every worker at its first submit).  A
-                # worker that dies breaks the executor, so the study's
-                # own tasks report it; these results are not needed.
-                for _ in range(self.processes):
-                    executor.submit(os.getpid)
+                with _interrupts_blocked():
+                    executor = ProcessPoolExecutor(max_workers=self.processes)
+                    # One no-op per worker starts them all (a fork-context
+                    # executor forks every worker at its first submit).  A
+                    # worker that dies breaks the executor, so the study's
+                    # own tasks report it; these results are not needed.
+                    for _ in range(self.processes):
+                        executor.submit(os.getpid)
                 self._executor = executor
             return self._executor
 
@@ -593,15 +626,8 @@ def _dispatch(
         )
     )
     if processes == 1:
-        watched = telemetry.progress is not None
-        yield from fold(
-            _run_chunk(
-                simulator,
-                task,
-                partial(fold.tick, _rows(task.seeds)) if watched else None,
-            )
-            for task in tasks
-        )
+        tick = fold.tick if telemetry.progress is not None else None
+        yield from fold(_run_chunk(simulator, task, tick) for task in tasks)
         return
     owned = pool is None
     if owned:
@@ -627,6 +653,11 @@ def _dispatch(
             f"(completed {fold.completed}/{total} trajectories); "
             "rerun with processes=1 to reproduce the failure in-process"
         ) from exc
+    except KeyboardInterrupt:
+        # Cancel the queued chunks rather than wait for them; the
+        # workers finish the chunks they hold and exit.
+        pool._discard(executor)
+        raise
     finally:
         if owned:
             pool.shutdown()

@@ -111,6 +111,21 @@ def test_timer_reservoir_surfaces_late_run_outliers():
     assert timer.count == 1000 and len(timer._samples) == 64
 
 
+def test_timer_observe_many_equals_one_observe_per_sample():
+    # Batches that start below, straddle and lie past the sample cap.
+    values = [((7 * i) % 23) / 1000.0 for i in range(40)]
+    one_by_one = Timer("batched", max_samples=16)
+    for value in values:
+        one_by_one.observe(value)
+    batched = Timer("batched", max_samples=16)
+    for start, stop in ((0, 10), (10, 10), (10, 25), (25, 40)):
+        batched.observe_many(values[start:stop])
+    assert batched.count == one_by_one.count == 40
+    assert batched.total == one_by_one.total
+    assert batched.max == one_by_one.max
+    assert batched._samples == one_by_one._samples
+
+
 def test_timer_reservoir_is_deterministic_per_name():
     def fill(timer):
         for value in range(200):

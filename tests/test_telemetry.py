@@ -548,3 +548,52 @@ def test_full_telemetry_overhead_within_five_percent():
     assert overhead <= 0.05, (
         f"full telemetry costs {overhead:.1%} throughput (budget 5%)"
     )
+
+
+def test_watched_run_pays_telemetry_per_chunk_not_per_trajectory():
+    """Deterministic companion of the timing test above.
+
+    By cProfile call count, a watched 300-run ``run`` (metrics, spans
+    and progress, as timed above) may make at most 10 more calls per
+    trajectory than a silent one: the simulator's tallies and the
+    engine's event counts reach the registry once per chunk, and the
+    in-chunk progress check makes no call per trajectory.  Before
+    that, the difference was about 75 calls per trajectory.
+    """
+    import cProfile
+    import pstats
+
+    from repro.eijoint.model import build_ei_joint_fmt
+    from repro.eijoint.strategies import current_policy
+
+    tree = build_ei_joint_fmt()
+    policy = current_policy()
+    n_runs = 300
+
+    def calls(instrumented):
+        profile = cProfile.Profile()
+        if instrumented:
+            mc = MonteCarlo(
+                tree, policy, horizon=15.0, seed=2016,
+                instrumentation=Instrumentation(),
+            )
+            reporter = JsonlProgressReporter(stream=io.StringIO())
+            with sp.use(SpanCollector()), use_progress(reporter):
+                profile.enable()
+                result = mc.run(n_runs)
+                profile.disable()
+        else:
+            mc = MonteCarlo(tree, policy, horizon=15.0, seed=2016)
+            profile.enable()
+            result = mc.run(n_runs)
+            profile.disable()
+        return pstats.Stats(profile).total_calls, result.summary
+
+    silent, silent_summary = calls(False)
+    watched, watched_summary = calls(True)
+    assert watched_summary == silent_summary
+    extra = (watched - silent) / n_runs
+    assert extra <= 10, (
+        f"a watched run makes {extra:.1f} more calls per trajectory "
+        "than a silent one (budget 10)"
+    )

@@ -1,15 +1,17 @@
-"""The vectorized kernel against exact answers, serial and pooled.
+"""Both engines against exact answers, serial and pooled.
 
 The differential harness checks the lockstep kernel against the object
 engine only, so a bug in code both share (strategy application, cost
-accounting) would pass it.  Here the kernel meets two oracles that
+accounting) would pass it.  Here each engine meets two oracles that
 involve no sampling at all: the CTMC transient unreliability of a
 Markovian tree (Erlang phases plus an event-triggered RDEP — constructs
 on which the compositional semantics of Monti et al., arXiv:1910.10507,
 and the CTMC agree), and the matrix-exponential expected failure count
-of one periodically inspected component with renewal.  Each exact
-value must lie inside the kernel's 99% confidence interval, and the
-pooled run must return the serial bytes.
+of one periodically inspected component with renewal (on the object
+engine, a check of on-demand inspection visits against an answer that
+involves no sampling).  Each exact value must lie inside the engine's
+99% confidence interval, and the pooled run must return the serial
+bytes.
 """
 
 from __future__ import annotations
@@ -37,20 +39,19 @@ def pool():
         yield shared
 
 
-def _serial_and_pooled(pool, tree, strategy, horizon, seed):
+def _serial_and_pooled(pool, tree, strategy, horizon, seed, kernel="vectorized"):
     def driver():
-        return MonteCarlo(
-            tree, strategy, horizon=horizon, seed=seed, kernel="vectorized"
-        )
+        return MonteCarlo(tree, strategy, horizon=horizon, seed=seed, kernel=kernel)
 
-    assert vectorized_fallback_reason(driver().simulator) is None
+    if kernel == "vectorized":
+        assert vectorized_fallback_reason(driver().simulator) is None
     serial = driver().run(N_RUNS, confidence=CONFIDENCE)
     pooled = driver().run_parallel(N_RUNS, confidence=CONFIDENCE, pool=pool)
     assert pooled.summary == serial.summary
     return serial.summary
 
 
-def test_markovian_rdep_tree_matches_ctmc(pool):
+def _markovian_rdep_tree():
     builder = FMTBuilder("markov-rdep")
     builder.degraded_event("a", phases=2, mean=8.0, threshold=1)
     builder.basic_event("trig", rate=0.3)
@@ -58,17 +59,23 @@ def test_markovian_rdep_tree_matches_ctmc(pool):
     builder.rdep("d", trigger="trig", targets=["b"], factor=3.0)
     builder.and_gate("guard", ["trig", "b"])
     builder.or_gate("top", ["a", "guard"])
-    tree = builder.build("top")
+    return builder.build("top")
+
+
+def _check_markovian_rdep_tree(pool, kernel):
+    tree = _markovian_rdep_tree()
     strategy = MaintenanceStrategy.absorbing()
     horizon = 5.0
 
     exact = compile_fmt(tree, strategy).unreliability(horizon)
-    summary = _serial_and_pooled(pool, tree, strategy, horizon, seed=2016)
+    summary = _serial_and_pooled(
+        pool, tree, strategy, horizon, seed=2016, kernel=kernel
+    )
     assert 0.05 < exact < 0.95
     assert summary.unreliability.contains(exact)
 
 
-def test_periodic_inspection_with_renewal_matches_analytics(pool):
+def _check_periodic_inspection(pool, kernel):
     event = BasicEvent.erlang("w", phases=3, mean=2.0, threshold=2)
     module = InspectionModule("i", period=0.5, targets=["w"], action=clean())
     builder = FMTBuilder("periodic")
@@ -84,7 +91,23 @@ def test_periodic_inspection_with_renewal_matches_analytics(pool):
 
     exact = expected_failures(event, module, horizon)
     summary = _serial_and_pooled(
-        pool, builder.build("top"), strategy, horizon, seed=1910
+        pool, builder.build("top"), strategy, horizon, seed=1910, kernel=kernel
     )
     assert exact > 0.5
     assert summary.expected_failures.contains(exact)
+
+
+def test_markovian_rdep_tree_matches_ctmc(pool):
+    _check_markovian_rdep_tree(pool, "vectorized")
+
+
+def test_markovian_rdep_tree_matches_ctmc_on_object_engine(pool):
+    _check_markovian_rdep_tree(pool, "object")
+
+
+def test_periodic_inspection_with_renewal_matches_analytics(pool):
+    _check_periodic_inspection(pool, "vectorized")
+
+
+def test_periodic_inspection_with_renewal_matches_analytics_on_object_engine(pool):
+    _check_periodic_inspection(pool, "object")
