@@ -680,6 +680,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             reporter
         ), _spans.use(collector):
             code = _dispatch(args)
+    except KeyboardInterrupt:
+        # A pooled run has already cancelled its queued chunks.  130 is
+        # the shell's status for a command ended by SIGINT.
+        print("interrupted", file=sys.stderr)
+        return 130
     finally:
         study_runner.close()
         if reporter is not None:

@@ -22,16 +22,16 @@ zero-failure fallback in :func:`repro.simulation.metrics.summarize` —
 a zero-width interval at 0 would claim certainty the data cannot
 support.
 
-Parallelism ships whole replications (fixed effort) or root batches
-(RESTART) to worker processes; each unit consumes only its own
-pre-spawned seed, so serial and parallel runs are bit-identical.
+Parallelism ships each replication (fixed effort) or root (RESTART)
+to a worker of a :class:`~repro.simulation.parallel.SharedSimulationPool`
+used once; each unit consumes only its own pre-spawned seed, so serial
+and parallel runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -54,6 +54,7 @@ from repro.rareevent.splitting import (
     SplittingRun,
 )
 from repro.simulation.executor import FMTSimulator
+from repro.simulation.parallel import SharedSimulationPool
 from repro.stats.confidence import (
     ConfidenceInterval,
     mean_confidence_interval,
@@ -186,24 +187,6 @@ class RareEventResult:
     stage_probabilities: Optional[Tuple[float, ...]] = None
 
 
-# ----------------------------------------------------------------------
-# Worker-process plumbing (mirrors repro.simulation.parallel)
-# ----------------------------------------------------------------------
-_WORKER_ESTIMATOR: Optional["RareEventEstimator"] = None
-
-
-def _init_worker(simulator: FMTSimulator, config: RareEventConfig) -> None:
-    global _WORKER_ESTIMATOR
-    _WORKER_ESTIMATOR = RareEventEstimator(simulator, config)
-
-
-def _worker_units(
-    seeds: Sequence[np.random.SeedSequence],
-) -> List[Union[SplittingRun, RestartRoot]]:
-    assert _WORKER_ESTIMATOR is not None
-    return _WORKER_ESTIMATOR._run_units(seeds)
-
-
 class RareEventEstimator:
     """Importance-splitting unreliability estimator for one simulator.
 
@@ -334,34 +317,39 @@ class RareEventEstimator:
     def _run_units_parallel(
         self, unit_seeds: Sequence[np.random.SeedSequence], processes: int
     ) -> List[Union[SplittingRun, RestartRoot]]:
-        chunk_size = max(1, len(unit_seeds) // (processes * 4))
-        chunks = [
-            unit_seeds[start:start + chunk_size]
-            for start in range(0, len(unit_seeds), chunk_size)
-        ]
+        """Run the units one per task on a dedicated pool.
+
+        Each task carries this estimator (its simulator included) and
+        one seed, so the workers need no set-up.  They start with
+        SIGINT blocked (:class:`SharedSimulationPool`): on Ctrl-C the
+        driver cancels the queued units instead of waiting for them.
+        """
         logger.debug(
             kv(
                 "rareevent parallel dispatch",
                 units=len(unit_seeds),
                 processes=processes,
-                chunks=len(chunks),
             )
         )
         results: List[Union[SplittingRun, RestartRoot]] = []
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker,
-            initargs=(self.simulator, self.config),
-        ) as pool:
-            try:
-                for batch in pool.map(_worker_units, chunks):
-                    results.extend(batch)
-            except BrokenProcessPool as exc:
-                raise SimulationError(
-                    "a rare-event worker process terminated abruptly "
-                    f"(completed {len(results)}/{len(unit_seeds)} units); "
-                    "rerun with processes=1 to reproduce in-process"
-                ) from exc
+        pool = SharedSimulationPool(processes)
+        try:
+            executor = pool.executor()
+            tasks = [[seed] for seed in unit_seeds]
+            for units in executor.map(self._run_units, tasks):
+                results.extend(units)
+        except BrokenProcessPool as exc:
+            pool.invalidate()
+            raise SimulationError(
+                "a rare-event worker process terminated abruptly "
+                f"(completed {len(results)}/{len(unit_seeds)} units); "
+                "rerun with processes=1 to reproduce in-process"
+            ) from exc
+        except KeyboardInterrupt:
+            pool.invalidate()
+            raise
+        finally:
+            pool.shutdown()
         return results
 
     def _combine_fixed_effort(

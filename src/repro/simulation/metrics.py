@@ -210,31 +210,10 @@ def reliability_curve(
         :class:`~repro.stats.confidence.ConfidenceInterval` of the
         survival probability per grid point.
     """
-    if isinstance(trajectories, TrajectoryBatch):
-        if len(trajectories) == 0:
-            raise ValidationError(
-                "reliability_curve() needs at least one trajectory"
-            )
-        horizon = trajectories.horizon
-        first_failure = trajectories.first_failure
-    else:
-        if not trajectories:
-            raise ValidationError(
-                "reliability_curve() needs at least one trajectory"
-            )
-        horizon = trajectories[0].horizon
-        if any(t.horizon != horizon for t in trajectories):
-            raise ValidationError("trajectories have inconsistent horizons")
-        first_failure = np.fromiter(
-            (
-                t.failure_times[0] if t.failure_times else np.inf
-                for t in trajectories
-            ),
-            dtype=np.float64,
-            count=len(trajectories),
-        )
+    batch = _as_batch(trajectories, "reliability_curve")
+    first_failure = batch.first_failure
     grid = np.asarray(list(times), dtype=float)
-    _validate_grid(grid, horizon)
+    _validate_grid(grid, batch.horizon)
     n = len(first_failure)
     ordered = np.sort(first_failure)
     # searchsorted(side="right") counts values <= t; survivors are the

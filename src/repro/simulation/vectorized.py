@@ -189,7 +189,6 @@ class _PlanCols:
 
     __slots__ = (
         "name",
-        "is_inspection",
         "visit_cost",
         "detect_failures",
         "detection_probability",
@@ -197,10 +196,8 @@ class _PlanCols:
         "targets",  # tuples (event index, threshold, action cost, corrective cost)
     )
 
-    def __init__(self, plan, index: Dict[str, int], corrective_cost: Dict[str, float],
-                 is_inspection: bool):
+    def __init__(self, plan, index: Dict[str, int], corrective_cost: Dict[str, float]):
         self.name = plan.name
-        self.is_inspection = is_inspection
         self.visit_cost = plan.visit_cost
         self.detect_failures = plan.detect_failures
         self.detection_probability = plan.detection_probability
@@ -217,20 +214,23 @@ class _PlanCols:
 
 
 class _FusedInspect:
-    """One epoch's inspection plans compiled into a single pass.
+    """Inspection rounds of one epoch compiled into a single pass.
 
-    When every inspected event appears at most once across the epoch's
-    inspection plans, the per-target failed / threshold-crossed scans
-    collapse into two stacked 2-D comparisons (one over the F rows of
-    the inspected events, one over the crossing-time rows), and the
-    per-plan visit bookkeeping folds into one masked add each.  Targets
-    whose threshold equals the phase count are *detect-only* — crossing
-    the threshold is failing — and are excluded from the condition
-    block entirely.
+    An epoch's line-up of rounds is one pass when no component is
+    inspected by two of its rounds, and one single-round pass per
+    round, in line-up order, when rounds share a component (a later
+    round must see what an earlier one did to it).  Either way each
+    inspected event appears at most once in a pass, so the per-target
+    failed / threshold-crossed scans collapse into two stacked 2-D
+    comparisons (one over the F rows of the inspected events, one over
+    the crossing-time rows), and the per-round visit bookkeeping folds
+    into one masked add each.  Targets whose threshold equals the phase
+    count are *detect-only* — crossing the threshold is failing — and
+    are excluded from the condition block entirely.
     """
 
     __slots__ = (
-        "n_visits",  # number of inspection plans ticking this epoch
+        "n_visits",  # number of rounds in the pass
         "visit_cost",  # their summed visit cost
         "targets",  # flat (e, action_cost, corrective_cost, dp,
         #             detect, renew, restore_phases, cond_pos) tuples
@@ -457,41 +457,30 @@ class VectorizedKernel:
         self.rdep_deps = deps
 
     def _compile_calendar(self, sim: FMTSimulator) -> None:
-        plans: Dict[float, List[Tuple[Tuple[int, int], _PlanCols]]] = {}
-        groups = (
-            (0, sim._repair_plans, False),  # repairs before inspections
-            (1, sim._inspection_plans, True),  # (ties: engine priority)
-        )
-        for prio, plan_list, is_inspection in groups:
-            for j, plan in enumerate(plan_list):
-                cols = _PlanCols(
-                    plan, self.index, sim._corrective_cost, is_inspection
-                )
+        # Per tick time: (repair plans, inspection rounds), each in plan
+        # order.  Repairs run before inspections (ties: engine priority).
+        ticks: Dict[float, Tuple[List[_PlanCols], List[_PlanCols]]] = {}
+        for slot, plan_list in enumerate(
+            (sim._repair_plans, sim._inspection_plans)
+        ):
+            for plan in plan_list:
+                cols = _PlanCols(plan, self.index, sim._corrective_cost)
                 # Tick times by repeated addition, exactly as the object
                 # engine reschedules (now + period): the epochs of the
                 # two paths are the same floats, so tick *counts* per
                 # trajectory agree exactly.
                 t = plan.offset
                 while t <= self.horizon:
-                    plans.setdefault(t, []).append(((prio, j), cols))
+                    ticks.setdefault(t, ([], []))[slot].append(cols)
                     t += plan.period
-        self.epochs: List[Tuple[float, List[_PlanCols], Optional[_FusedInspect]]] = [
-            (t, [cols for _, cols in sorted(plans[t], key=lambda item: item[0])])
-            for t in sorted(plans)
-        ]  # fused descriptors appended below
         # Thresholds inspected per event: each (event, threshold) pair
         # gets a cached crossing-time column in the chunk state, so the
         # per-epoch condition check is one comparison instead of a
         # phase count over the whole jump matrix.
         thresholds: Dict[int, set] = {}
-        for _, plan_list, is_inspection in groups:
-            if not is_inspection:
-                continue
-            for plan in plan_list:
-                for target, threshold in plan.targets:
-                    thresholds.setdefault(self.index[target], set()).add(
-                        threshold
-                    )
+        for plan in sim._inspection_plans:
+            for target, threshold in plan.targets:
+                thresholds.setdefault(self.index[target], set()).add(threshold)
         self.plan_thresholds: Dict[int, Tuple[int, ...]] = {
             e: tuple(sorted(ts)) for e, ts in thresholds.items()
         }
@@ -500,40 +489,42 @@ class VectorizedKernel:
             for e, ts in sorted(self.plan_thresholds.items())
             for thr in ts
         )
-        # Compile each distinct plan line-up into a fused inspection
-        # pass where eligible (every inspected event unique within the
-        # epoch); the epochs of a periodic policy all share one line-up,
-        # so the cache usually holds a single entry.
-        fused_cache: Dict[Tuple[int, ...], Optional[_FusedInspect]] = {}
-        epochs_fused = []
-        for t, plan_list in self.epochs:
-            key = tuple(id(cols) for cols in plan_list)
-            if key not in fused_cache:
-                fused_cache[key] = self._fuse_inspections(plan_list)
-            epochs_fused.append((t, plan_list, fused_cache[key]))
-        self.epochs = epochs_fused
+        # Each epoch holds its repair plans and its inspection passes.
+        # The epochs of a periodic policy share a few line-ups, so the
+        # passes are compiled once per distinct line-up.
+        passes: Dict[Tuple[int, ...], Tuple[_FusedInspect, ...]] = {}
+        self.epochs: List[
+            Tuple[float, List[_PlanCols], Tuple[_FusedInspect, ...]]
+        ] = []
+        for t in sorted(ticks):
+            repairs, rounds = ticks[t]
+            key = tuple(map(id, rounds))
+            if key not in passes:
+                passes[key] = self._fuse_inspections(rounds)
+            self.epochs.append((t, repairs, passes[key]))
 
     def _fuse_inspections(
-        self, plan_list: List[_PlanCols]
-    ) -> Optional[_FusedInspect]:
-        insp = [p for p in plan_list if p.is_inspection]
-        if not insp:
-            return None
-        seen: set = set()
-        for p in insp:
-            for e, _, _, _ in p.targets:
-                if e in seen:
-                    # Sequential semantics (a later plan sees the
-                    # earlier plan's renewals of the same event) can't
-                    # be precomputed in one scan; keep per-plan passes.
-                    return None
-                seen.add(e)
+        self, rounds: Sequence[_PlanCols]
+    ) -> Tuple[_FusedInspect, ...]:
+        """The inspection passes of one line-up of rounds.
+
+        One pass for the whole line-up when no component is inspected
+        by two of its rounds.  Otherwise one single-round pass per
+        round, in line-up order: a later round sees the earlier rounds'
+        restores and re-draws of a shared component, which one up-front
+        scan could not.  (A round never names a target twice.)
+        """
+        events = [e for p in rounds for e, _, _, _ in p.targets]
+        if len(set(events)) < len(events):
+            return tuple(self._fuse_inspections([p])[0] for p in rounds)
+        if not rounds:
+            return ()
         xrow = {key: i for i, key in enumerate(self.threshold_keys)}
         targets = []
         tidx: List[int] = []
         xsel: List[int] = []
         cond_sel: List[int] = []
-        for p in insp:
+        for p in rounds:
             renew = p.restore_phases is None
             for e, thr, action_cost, corrective_cost in p.targets:
                 if thr < self.K[e]:
@@ -556,13 +547,13 @@ class VectorizedKernel:
                 )
                 tidx.append(e)
         fe = _FusedInspect()
-        fe.n_visits = len(insp)
-        fe.visit_cost = sum(p.visit_cost for p in insp)
+        fe.n_visits = len(rounds)
+        fe.visit_cost = sum(p.visit_cost for p in rounds)
         fe.targets = tuple(targets)
         fe.tidx = np.asarray(tidx, dtype=np.intp)
         fe.xsel = np.asarray(xsel, dtype=np.intp)
         fe.cond_sel = np.asarray(cond_sel, dtype=np.intp)
-        return fe
+        return (fe,)
 
     # -- sampling primitives --------------------------------------------
     def _redraw(
@@ -978,8 +969,8 @@ class VectorizedKernel:
         self,
         st: _ChunkState,
         t: float,
-        plans: List[_PlanCols],
-        fused: Optional[_FusedInspect],
+        repairs: List[_PlanCols],
+        passes: Tuple[_FusedInspect, ...],
         rng: np.random.Generator,
     ) -> None:
         # System restoration (priority 1) precedes repair/inspection
@@ -990,27 +981,12 @@ class VectorizedKernel:
         if not active.any():
             return
         disc = self._discount(t)
-        if fused is not None:
-            # Repairs (if any) keep their priority slot ahead of the
-            # fused inspection pass.
-            for plan in plans:
-                if not plan.is_inspection:
-                    self._repair(
-                        st, t, plan, active, active.nonzero()[0], disc, rng
-                    )
-            self._inspect_fused(st, t, fused, active, disc, rng)
-        else:
+        if repairs:
             act_rows = active.nonzero()[0]
-            n_visits = 0
-            for plan in plans:
-                if plan.is_inspection:
-                    n_visits += 1
-                    self._inspect(st, t, plan, active, act_rows, disc, rng)
-                else:
-                    self._repair(st, t, plan, active, act_rows, disc, rng)
-            if n_visits:
-                # One masked add for all of the epoch's visits.
-                st.n_insp += active if n_visits == 1 else n_visits * active
+            for plan in repairs:
+                self._repair(st, t, plan, active, act_rows, disc, rng)
+        for fe in passes:
+            self._inspect_fused(st, t, fe, active, disc, rng)
         # End-of-epoch RDEP reconciliation: replacements above may have
         # un-failed trigger components, decelerating their targets.  The
         # object engine reschedules the pending target transition at the
@@ -1038,80 +1014,6 @@ class VectorizedKernel:
                 # already marked dirty by the re-draw above).
                 st.dirty[down_rows] = True
 
-    def _inspect(
-        self,
-        st: _ChunkState,
-        t: float,
-        plan: _PlanCols,
-        active: np.ndarray,
-        act_rows: np.ndarray,
-        disc: float,
-        rng: np.random.Generator,
-    ) -> None:
-        # Whole-column masked adds: x + 0.0 == x for the inactive rows
-        # (costs are finite and non-negative), and the active rows see
-        # the exact same addition as a fancy-indexed scatter — without
-        # the gather/scatter index machinery.  (n_insp is booked once
-        # per epoch by _process_epoch.)
-        if plan.visit_cost != 0.0:
-            st.costs["inspections"] += (plan.visit_cost * disc) * active
-        dp = plan.detection_probability
-        renew = plan.restore_phases is None
-        for e, threshold, action_cost, corrective_cost in plan.targets:
-            failed = active & (st.F[e] <= t)
-            frows = None
-            if plan.detect_failures and failed.any():
-                frows = failed.nonzero()[0]
-                st.costs["corrective"][frows] += corrective_cost * disc
-                st.n_corr[frows] += 1
-            rows = None
-            if threshold < self.K[e]:
-                # Condition check against the cached crossing-time
-                # column: phase(t) >= threshold iff the chain crossed
-                # by t.  Only the (typically few) crossed rows are
-                # gathered; everyone else costs one boolean column op
-                # instead of a phase count over the whole jump matrix.
-                # (threshold == K means crossing *is* failing, so the
-                # preventive branch can never fire on an unfailed row
-                # and the scan is skipped outright.)
-                rows = (
-                    active & ~failed & (st.X[(e, threshold)] <= t)
-                ).nonzero()[0]
-                if len(rows) and dp < 1.0:
-                    # Object draw: a visit *misses* when random() >=
-                    # dp.  Uniforms are consumed only for rows past the
-                    # threshold — independent draws, so
-                    # distributionally identical to rolling for every
-                    # candidate.
-                    rows = rows[st.upool.take(len(rows)) < dp]
-                if len(rows):
-                    st.costs["preventive"][rows] += action_cost * disc
-                    st.n_prev[rows] += 1
-                else:
-                    rows = None
-            if renew:
-                # Corrective replacement and a restore-to-new action
-                # both re-draw from phase 0 at the same instant — fuse
-                # them into one re-draw over the union (the pool is
-                # consumed row-contiguously either way).
-                if frows is None:
-                    merged = rows
-                elif rows is None:
-                    merged = frows
-                else:
-                    merged = np.concatenate((frows, rows))
-                if merged is not None:
-                    fac = self._current_factor_or_none(st, e, merged, t)
-                    self._redraw(st, e, merged, t, None, fac, rng)
-            else:
-                if frows is not None:
-                    fac = self._current_factor_or_none(st, e, frows, t)
-                    self._redraw(st, e, frows, t, None, fac, rng)
-                if rows is not None:
-                    self._apply_action(
-                        st, e, rows, t, None, plan.restore_phases, rng
-                    )
-
     def _inspect_fused(
         self,
         st: _ChunkState,
@@ -1121,16 +1023,18 @@ class VectorizedKernel:
         disc: float,
         rng: np.random.Generator,
     ) -> None:
-        """All of one epoch's inspection plans in a single pass.
+        """One inspection pass (see :class:`_FusedInspect`).
 
         The per-target failed scans collapse into one stacked 2-D
         comparison over the inspected events' F rows, the condition
         checks into one over their crossing-time rows — ~4 matrix ops
-        per epoch instead of ~5 column ops per target.  Per-target
+        per pass instead of ~5 column ops per target.  Per-target
         gathers, cost scatters and re-draws then run only for targets
-        whose row-wise ``any`` fired, in the same order as the
-        sequential plan loop (so the RNG pools are consumed
-        identically)."""
+        whose row-wise ``any`` fired, in round and target order (so the
+        RNG pools are consumed in that order)."""
+        # Whole-column masked adds: x + 0.0 == x for the inactive rows
+        # (costs are finite and non-negative), and the active rows see
+        # the same addition as a fancy-indexed scatter.
         st.n_insp += active if fe.n_visits == 1 else fe.n_visits * active
         if fe.visit_cost != 0.0:
             st.costs["inspections"] += (fe.visit_cost * disc) * active
@@ -1161,6 +1065,8 @@ class VectorizedKernel:
             if cond_pos is not None and any_crossed[cond_pos]:
                 rows = crossed_mat[cond_pos].nonzero()[0]
                 if dp < 1.0:
+                    # A visit misses when random() >= dp; uniforms are
+                    # drawn for the crossed rows only.
                     rows = rows[st.upool.take(len(rows)) < dp]
                 if len(rows):
                     st.costs["preventive"][rows] += action_cost * disc
@@ -1168,6 +1074,9 @@ class VectorizedKernel:
                 else:
                     rows = None
             if renew:
+                # Corrective replacement and a restore-to-new action
+                # both re-draw from phase 0 at t: one re-draw over the
+                # union.
                 if frows is None:
                     merged = rows
                 elif rows is None:
@@ -1265,9 +1174,9 @@ class VectorizedKernel:
             st.p0[e] = np.zeros(n, dtype=np.int64)
             self._redraw(st, e, all_rows, 0.0, None, None, rng)
         n_steps = len(self.epochs) + 1
-        for i, (t, plans, fused) in enumerate(self.epochs):
+        for i, (t, repairs, passes) in enumerate(self.epochs):
             self._advance(st, t, rng)
-            self._process_epoch(st, t, plans, fused, rng)
+            self._process_epoch(st, t, repairs, passes, rng)
             if progress is not None:
                 progress((i + 1) / n_steps)
         self._advance(st, self.horizon, rng)

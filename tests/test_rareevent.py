@@ -12,6 +12,8 @@ Covers the acceptance criteria of the rare-event PR:
 * serial and parallel rare-event runs are bit-identical.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.ctmc.compiler import compile_fmt
 from repro.eijoint.model import build_ei_joint_fmt
 from repro.eijoint.parameters import default_parameters
 from repro.eijoint.strategies import inspection_policy, unmaintained
-from repro.errors import EstimationError, ValidationError
+from repro.errors import EstimationError, SimulationError, ValidationError
 from repro.maintenance.strategy import MaintenanceStrategy
 from repro.observability.instrumentation import (
     RARE_CLONES,
@@ -214,6 +216,20 @@ def test_rare_event_parallel_bit_identical(markovian_tree, method):
     assert serial.unreliability.estimate == parallel.unreliability.estimate
     assert serial.unreliability.lower == parallel.unreliability.lower
     assert serial.n_trajectories == parallel.n_trajectories
+
+
+def test_rare_event_worker_crash_raises_simulation_error(
+    markovian_tree, monkeypatch
+):
+    def crash(self, seeds):
+        os._exit(1)
+
+    # Pool workers are forked, so they run the patched method.
+    monkeypatch.setattr(RareEventEstimator, "_run_units", crash)
+    config = RareEventConfig(method="restart", n_roots=8, n_levels=2)
+    mc = MonteCarlo(markovian_tree, _absorbing(), horizon=8.0, seed=9)
+    with pytest.raises(SimulationError, match="rare-event worker"):
+        mc.run_rare_event(config, processes=2)
 
 
 def test_rare_event_after_crude_run_uses_distinct_streams(markovian_tree):

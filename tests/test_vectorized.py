@@ -285,13 +285,14 @@ def test_rdep_acceleration_matches_object_engine():
     mean_b=st.floats(min_value=2.0, max_value=12.0),
     with_rdep=st.booleans(),
     with_inspection=st.booleans(),
+    with_shared_round=st.booleans(),
     period=st.floats(min_value=0.5, max_value=3.0),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=10, deadline=None)
 def test_random_tree_kernel_equivalence(
     gate, phases_a, phases_b, mean_a, mean_b, with_rdep, with_inspection,
-    period, seed,
+    with_shared_round, period, seed,
 ):
     builder = FMTBuilder("prop")
     builder.degraded_event("a", phases=phases_a, mean=mean_a,
@@ -312,6 +313,12 @@ def test_random_tree_kernel_equivalence(
             InspectionModule("i", period=period, targets=["b", "c"],
                              action=clean()),
         )
+        if with_shared_round:
+            # Shares c with round i at every other epoch of i.
+            modules += (
+                InspectionModule("j", period=2 * period, targets=["a", "c"],
+                                 action=replace(), detection_probability=0.8),
+            )
     strategy = MaintenanceStrategy(
         "s", inspections=modules, on_system_failure="replace",
         system_repair_time=0.05,
