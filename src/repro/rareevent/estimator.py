@@ -321,8 +321,8 @@ class RareEventEstimator:
 
         Each task carries this estimator (its simulator included) and
         one seed, so the workers need no set-up.  They start with
-        SIGINT blocked (:class:`SharedSimulationPool`): on Ctrl-C the
-        driver cancels the queued units instead of waiting for them.
+        SIGINT blocked (:class:`SharedSimulationPool`): on Ctrl-C this
+        process cancels the queued units instead of waiting for them.
         """
         logger.debug(
             kv(
