@@ -22,26 +22,29 @@ zero-failure fallback in :func:`repro.simulation.metrics.summarize` —
 a zero-width interval at 0 would claim certainty the data cannot
 support.
 
-Parallelism ships each replication (fixed effort) or root (RESTART)
-to a worker of a :class:`~repro.simulation.parallel.SharedSimulationPool`
-used once; each unit consumes only its own pre-spawned seed, so serial
-and parallel runs are bit-identical.
+Units — replications (fixed effort) or roots (RESTART) — run on the
+chunk pipeline of :mod:`repro.simulation.parallel`, one unit per task,
+in-process or on a pool: the estimator stands in for a simulator in the
+pipeline's object tasks (:meth:`RareEventEstimator.simulate` runs one
+unit).  Each unit consumes only its own pre-spawned seed, so serial and
+pooled runs are bit-identical, and the pipeline's fold reports the
+``rare.units`` progress and, on a pool, merges the workers' metrics and
+``worker.chunk`` spans.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import stats as sps
 
-from repro.errors import EstimationError, SimulationError, ValidationError
-from repro.observability.logging_setup import get_logger, kv
-from repro.observability.progress import ProgressEvent, current_progress
+from repro.errors import EstimationError, ValidationError
+from repro.observability import instrumentation as _obs
+from repro.observability import spans as _spans
+from repro.observability.progress import current_progress
 from repro.rareevent.importance import (
     StructureImportance,
     candidate_thresholds,
@@ -54,7 +57,7 @@ from repro.rareevent.splitting import (
     SplittingRun,
 )
 from repro.simulation.executor import FMTSimulator
-from repro.simulation.parallel import SharedSimulationPool
+from repro.simulation.parallel import WorkerTelemetry, sample_parallel
 from repro.stats.confidence import (
     ConfidenceInterval,
     mean_confidence_interval,
@@ -67,8 +70,6 @@ __all__ = [
     "RareEventEstimator",
     "crude_equivalent_runs",
 ]
-
-logger = get_logger(__name__)
 
 
 def crude_equivalent_runs(interval: ConfidenceInterval) -> Optional[int]:
@@ -223,7 +224,7 @@ class RareEventEstimator:
             self.thresholds = select_thresholds(candidates, config.n_levels)
 
     # ------------------------------------------------------------------
-    # Unit execution
+    # Unit execution: the estimator as a chunk-pipeline simulator
     # ------------------------------------------------------------------
     def _driver(self):
         if self.config.method == "fixed_effort":
@@ -242,45 +243,29 @@ class RareEventEstimator:
             max_segments=self.config.max_segments,
         )
 
-    def _run_units(
-        self, seeds: Sequence[np.random.SeedSequence]
-    ) -> List[Union[SplittingRun, RestartRoot]]:
+    def simulate(
+        self, rng: np.random.Generator
+    ) -> Union[SplittingRun, RestartRoot]:
+        """Run one unit: a fixed-effort replication or a RESTART root.
+
+        The chunk pipeline's unit body.  An object task hands its
+        simulator ``default_rng(seed)`` per seed item; the unit spawns
+        its segment streams from that generator's seed sequence, so it
+        is a function of its seed alone, wherever it runs.
+        """
         driver = self._driver()
         run_one = (
             driver.run
             if self.config.method == "fixed_effort"
             else driver.run_root
         )
-        reporter = current_progress()
-        if reporter is None:
-            units = [run_one(seed) for seed in seeds]
-            # Splitting drives the simulator step-by-step, so the final
-            # segment's batched event tallies need an explicit fold.
-            self.simulator.flush_instrumentation()
-            return units
-        # Watched run: same seed order, one convergence-free progress
-        # event per unit (units are few and heavy, unlike trajectories).
-        units: List[Union[SplittingRun, RestartRoot]] = []
-        start = time.perf_counter()
-        for index, seed in enumerate(seeds, start=1):
-            units.append(run_one(seed))
-            elapsed = time.perf_counter() - start
-            rate = index / elapsed if elapsed > 0 else None
-            reporter.update(
-                ProgressEvent(
-                    phase="rare.units",
-                    completed=index,
-                    total=len(seeds),
-                    elapsed_seconds=elapsed,
-                    rate_per_sec=rate,
-                    eta_seconds=(
-                        (len(seeds) - index) / rate if rate else None
-                    ),
-                    done=index >= len(seeds),
-                )
-            )
-        self.simulator.flush_instrumentation()
-        return units
+        return run_one(rng.bit_generator.seed_seq)
+
+    def batch(self):
+        """Fold the step-driven units' trailing event tallies into the
+        registry once, at the block's end (the pipeline runs each task
+        in one)."""
+        return self.simulator.batch()
 
     # ------------------------------------------------------------------
     # Estimation
@@ -294,9 +279,10 @@ class RareEventEstimator:
         """Run every unit and aggregate into a :class:`RareEventResult`.
 
         ``unit_seeds`` must hold exactly ``config.n_units`` seed
-        sequences (one per replication or root).  ``processes > 1``
-        fans units out to worker processes; the result is bit-identical
-        to the serial run because each unit consumes only its own seed.
+        sequences (one per replication or root).  The units run one per
+        chunk-pipeline task, on a dedicated pool of ``processes``
+        workers when ``processes > 1``; the result is bit-identical to
+        the serial run because each unit consumes only its own seed.
         """
         expected = self.config.n_units
         if len(unit_seeds) != expected:
@@ -304,53 +290,26 @@ class RareEventEstimator:
                 f"expected {expected} unit seeds for method "
                 f"{self.config.method!r}, got {len(unit_seeds)}"
             )
-        if processes < 1:
-            raise ValidationError(f"processes must be >= 1, got {processes}")
-        if processes == 1:
-            units = self._run_units(unit_seeds)
-        else:
-            units = self._run_units_parallel(unit_seeds, processes)
+        telemetry = WorkerTelemetry(progress=current_progress(), phase="rare.units")
+        if processes > 1:
+            # Pooled units ship their metrics and spans back to the fold;
+            # in-process ones count straight into the driver's registry.
+            instrumentation = self.simulator.config.instrumentation
+            if instrumentation is None:
+                instrumentation = _obs.current()
+            context = _spans.current_context()
+            telemetry = replace(
+                telemetry,
+                instrumentation=instrumentation,
+                collector=_spans.current_collector(),
+                span_parent=context.to_dict() if context is not None else None,
+            )
+        units = sample_parallel(
+            self, unit_seeds, processes, chunk_size=1, telemetry=telemetry
+        )
         if self.config.method == "fixed_effort":
             return self._combine_fixed_effort(units, confidence)
         return self._combine_restart(units, confidence)
-
-    def _run_units_parallel(
-        self, unit_seeds: Sequence[np.random.SeedSequence], processes: int
-    ) -> List[Union[SplittingRun, RestartRoot]]:
-        """Run the units one per task on a dedicated pool.
-
-        Each task carries this estimator (its simulator included) and
-        one seed, so the workers need no set-up.  They start with
-        SIGINT blocked (:class:`SharedSimulationPool`): on Ctrl-C this
-        process cancels the queued units instead of waiting for them.
-        """
-        logger.debug(
-            kv(
-                "rareevent parallel dispatch",
-                units=len(unit_seeds),
-                processes=processes,
-            )
-        )
-        results: List[Union[SplittingRun, RestartRoot]] = []
-        pool = SharedSimulationPool(processes)
-        try:
-            executor = pool.executor()
-            tasks = [[seed] for seed in unit_seeds]
-            for units in executor.map(self._run_units, tasks):
-                results.extend(units)
-        except BrokenProcessPool as exc:
-            pool.invalidate()
-            raise SimulationError(
-                "a rare-event worker process terminated abruptly "
-                f"(completed {len(results)}/{len(unit_seeds)} units); "
-                "rerun with processes=1 to reproduce in-process"
-            ) from exc
-        except KeyboardInterrupt:
-            pool.invalidate()
-            raise
-        finally:
-            pool.shutdown()
-        return results
 
     def _combine_fixed_effort(
         self, units: Sequence[SplittingRun], confidence: float

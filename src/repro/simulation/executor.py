@@ -277,41 +277,54 @@ class _ModulePlan:
             self.watch = ()
 
 
+def _replay_schedule(
+    plans: List[_ModulePlan], horizon: float
+) -> Tuple[List[float], List[int]]:
+    """The ticks of periodic ``plans`` up to the horizon, in engine order.
+
+    The engine schedules each plan's first tick at reset, in plan
+    order, and each later tick while running its predecessor, so ticks
+    of one priority at one instant run in the order their predecessors
+    ran: rounds of period 0.25 and 0.5 that start together meet at
+    t = 0.5 with the 0.5-round first.  This replays that schedule
+    (``time + period`` by repeated addition) and returns the tick times
+    and the plan index of each tick.  The lockstep kernel builds its
+    epochs from it too, so both engines visit a line-up in one order.
+    """
+    # (time, scheduling sequence, plan index); the first ticks are
+    # sequenced in plan order.
+    heap = [
+        (plan.offset, index, index)
+        for index, plan in enumerate(plans)
+        if plan.offset <= horizon
+    ]
+    heapq.heapify(heap)
+    seq = len(plans)
+    times: List[float] = []
+    plan_of: List[int] = []
+    while heap:
+        time, _, index = heapq.heappop(heap)
+        times.append(time)
+        plan_of.append(index)
+        next_time = time + plans[index].period
+        if next_time <= horizon:
+            heapq.heappush(heap, (next_time, seq, index))
+            seq += 1
+    return times, plan_of
+
+
 class _VisitCalendar:
     """The periodic inspection visits of one run, in engine order.
 
-    The engine schedules each round's first visit at reset, in plan
-    order, and each later visit while running its predecessor, so
-    visits at one instant run in the order their predecessors ran:
-    rounds of period 0.25 and 0.5 that start together meet at t = 0.5
-    with the 0.5-round first.  The constructor replays that schedule
-    (``time + period`` by repeated addition, up to the horizon), so
-    index order is execution order.  It depends on the plans, the
-    horizon and the cost model only, and is shared by clones.
+    :func:`_replay_schedule` lists the visits, so index order is
+    execution order.  It depends on the plans, the horizon and the cost
+    model only, and is shared by clones.
     """
 
     __slots__ = ("times", "by_plan", "plan_of", "paid_at", "paid")
 
     def __init__(self, plans: List[_ModulePlan], horizon: float, discount_rate: float):
-        # (time, scheduling sequence, plan index); the first visits are
-        # sequenced in plan order.
-        heap = [
-            (plan.offset, index, index)
-            for index, plan in enumerate(plans)
-            if plan.offset <= horizon
-        ]
-        heapq.heapify(heap)
-        seq = len(plans)
-        times: List[float] = []
-        plan_of: List[int] = []
-        while heap:
-            time, _, index = heapq.heappop(heap)
-            times.append(time)
-            plan_of.append(index)
-            next_time = time + plans[index].period
-            if next_time <= horizon:
-                heapq.heappush(heap, (next_time, seq, index))
-                seq += 1
+        times, plan_of = _replay_schedule(plans, horizon)
         self.times = times
         self.plan_of = plan_of
         #: per plan, the calendar indices of its visits (ascending)

@@ -314,9 +314,7 @@ class MonteCarlo:
         self, trajectories: Trajectories, confidence: float
     ) -> KpiSummary:
         """KPI aggregation, timed when instrumentation is active."""
-        instr = self.instrumentation
-        if instr is None:
-            instr = _obs.current()
+        instr = self._resolve_instrumentation()
         if instr is None:
             return summarize(trajectories, confidence)
         with instr.timer(_obs.TIMER_SUMMARIZE).time():
@@ -481,8 +479,10 @@ class MonteCarlo:
         given at construction, falling back to the defaults of
         :class:`~repro.rareevent.estimator.RareEventConfig`.  One child
         seed stream is consumed per independent unit (replication or
-        RESTART root); ``processes > 1`` fans units out to worker
-        processes with bit-identical results.
+        RESTART root).  The units run one per task on the chunk
+        pipeline (:mod:`repro.simulation.parallel`); ``processes > 1``
+        runs them on a dedicated pool with bit-identical results, and
+        with the pipeline's worker-metric, span and progress fold.
 
         Returns a :class:`~repro.rareevent.estimator.RareEventResult`
         whose ``unreliability`` interval is directly comparable to

@@ -2,8 +2,8 @@
 
 Every batch run — :meth:`~repro.simulation.montecarlo.MonteCarlo.run`,
 :meth:`~repro.simulation.montecarlo.MonteCarlo.run_parallel`,
-:func:`sample_parallel` and :func:`sample_parallel_batch` — takes the
-same three steps:
+:func:`sample_parallel` and :func:`sample_parallel_batch` — and every
+rare-event estimate take the same three steps:
 
 1. the seed items are cut, in seed order, into :class:`ChunkTask`
    records;
@@ -35,6 +35,12 @@ write window into one pre-sized segment (:mod:`repro.simulation.shm`),
 so the result pipe carries only a tiny handle and the driver
 materializes the final batch with one copy out of the segment
 (bit-identical to the pickled fold).
+
+Any object with a ``simulate(rng)`` method can stand in for the
+simulator of object tasks.  A
+:class:`~repro.rareevent.estimator.RareEventEstimator` does: it runs
+one splitting unit per seed item, one unit per task, so rare-event
+estimates share this dispatch, fold and crash path.
 
 Telemetry round-trip
 --------------------
@@ -308,10 +314,13 @@ def _run_chunk(
     start = time.perf_counter()
     registry = None
     if task.collect_metrics:
-        original = simulator.config
+        # A stand-in (a rare-event estimator) counts into the config of
+        # the simulator it drives.
+        target = getattr(simulator, "simulator", simulator)
+        original = target.config
         instrumentation = Instrumentation()
         registry = instrumentation.registry
-        simulator.config = replace(original, instrumentation=instrumentation)
+        target.config = replace(original, instrumentation=instrumentation)
     try:
         if task.objects:
             payload = list(_trajectories(simulator, task.seeds))
@@ -319,7 +328,7 @@ def _run_chunk(
             payload = _columns(simulator, task.seeds, progress)
     finally:
         if registry is not None:
-            simulator.config = original
+            target.config = original
     if task.shm is not None:
         # Columns go through the shared segment; only the tiny handle
         # rides the result pipe.
@@ -476,8 +485,10 @@ class WorkerTelemetry:
     """Driver-side telemetry configuration for one run.
 
     Built by :meth:`MonteCarlo.run` (progress only: its chunks count
-    straight into the driver's instrumentation) and
-    :meth:`MonteCarlo.run_parallel` from the explicit/ambient
+    straight into the driver's instrumentation),
+    :meth:`MonteCarlo.run_parallel` and
+    :meth:`~repro.rareevent.estimator.RareEventEstimator.estimate`
+    (progress only on one process) from the explicit/ambient
     instrumentation, span collector, and progress reporter.  The
     default — ``None`` everywhere — is telemetry off.
     """

@@ -55,7 +55,11 @@ from repro.core.gates import OrGate, PandGate, VotingGate
 from repro.errors import SimulationError, ValidationError
 from repro.observability import instrumentation as _obs
 from repro.simulation.batch import COST_FIELDS, TrajectoryAccumulator, TrajectoryBatch
-from repro.simulation.executor import DEFAULT_CHUNK_TRAJECTORIES, FMTSimulator
+from repro.simulation.executor import (
+    DEFAULT_CHUNK_TRAJECTORIES,
+    FMTSimulator,
+    _replay_schedule,
+)
 
 __all__ = [
     "DEFAULT_CHUNK_TRAJECTORIES",
@@ -412,15 +416,12 @@ class VectorizedKernel:
         tree = sim.tree
         slots = dict(self.index)
         ops: List[_GateOp] = []
-        visiting: set = set()
 
         def visit(node) -> int:
             name = node.name
             if name in slots:
                 return slots[name]
-            visiting.add(name)
             children = tuple(visit(child) for child in node.children)
-            visiting.discard(name)
             slot = self.n_events + len(ops)
             slots[name] = slot
             # isinstance dispatch mirrors the executor's threshold
@@ -457,22 +458,18 @@ class VectorizedKernel:
         self.rdep_deps = deps
 
     def _compile_calendar(self, sim: FMTSimulator) -> None:
-        # Per tick time: (repair plans, inspection rounds), each in plan
-        # order.  Repairs run before inspections (ties: engine priority).
+        # Per tick time: (repair plans, inspection rounds), each in the
+        # object engine's order, from its own schedule replay: the
+        # epochs are the same floats and an instant's line-up the same
+        # order on both engines.  Repairs run before inspections (ties:
+        # engine priority).
         ticks: Dict[float, Tuple[List[_PlanCols], List[_PlanCols]]] = {}
-        for slot, plan_list in enumerate(
-            (sim._repair_plans, sim._inspection_plans)
-        ):
-            for plan in plan_list:
-                cols = _PlanCols(plan, self.index, sim._corrective_cost)
-                # Tick times by repeated addition, exactly as the object
-                # engine reschedules (now + period): the epochs of the
-                # two paths are the same floats, so tick *counts* per
-                # trajectory agree exactly.
-                t = plan.offset
-                while t <= self.horizon:
-                    ticks.setdefault(t, ([], []))[slot].append(cols)
-                    t += plan.period
+        for slot, plans in enumerate((sim._repair_plans, sim._inspection_plans)):
+            cols = [
+                _PlanCols(plan, self.index, sim._corrective_cost) for plan in plans
+            ]
+            for t, i in zip(*_replay_schedule(plans, self.horizon)):
+                ticks.setdefault(t, ([], []))[slot].append(cols[i])
         # Thresholds inspected per event: each (event, threshold) pair
         # gets a cached crossing-time column in the chunk state, so the
         # per-epoch condition check is one comparison instead of a
@@ -564,7 +561,6 @@ class VectorizedKernel:
         t,
         phases: np.ndarray,
         factor: np.ndarray,
-        rng: np.random.Generator,
     ) -> None:
         """Re-sample event ``e``'s remaining jump chain for ``rows``.
 
@@ -784,8 +780,7 @@ class VectorizedKernel:
 
     # -- inter-epoch advancement ----------------------------------------
     def _apply_switches(
-        self, st: _ChunkState, hot: np.ndarray, t1: float,
-        rng: np.random.Generator,
+        self, st: _ChunkState, hot: np.ndarray, t1: float
     ) -> bool:
         """Apply each hot row's earliest pending RDEP rate switch.
 
@@ -837,7 +832,7 @@ class VectorizedKernel:
             if up.any():
                 up_rows = rows[up]
                 phases = self._phase_at(st, tgt, up_rows, tau[up])
-                self._redraw(st, tgt, up_rows, tau[up], phases, fac[up], rng)
+                self._redraw(st, tgt, up_rows, tau[up], phases, fac[up])
             # Failed targets get no re-draw (no pending transition to
             # reschedule) but must still advance their switch point, or
             # the same trigger would be re-found forever.  The moved
@@ -850,8 +845,7 @@ class VectorizedKernel:
         return True
 
     def _commit_failures(
-        self, st: _ChunkState, hot: np.ndarray, t1: float,
-        rng: np.random.Generator,
+        self, st: _ChunkState, hot: np.ndarray, t1: float
     ) -> bool:
         """Commit system failures at T <= t1 and apply the strategy's
         failure response (absorbing stop or corrective renewal)."""
@@ -893,7 +887,7 @@ class VectorizedKernel:
             )
             st.down_until[in_rows] = du_in
             # Corrective renewal: the whole asset restarts as new.
-            self._renew_all(st, in_rows, du_in, rng)
+            self._renew_all(st, in_rows, du_in)
         return True
 
     def _renew_all(
@@ -901,7 +895,6 @@ class VectorizedKernel:
         st: _ChunkState,
         rows: np.ndarray,
         t: np.ndarray,
-        rng: np.random.Generator,
     ) -> None:
         """Renew every event's chain from phase 0 at per-row time ``t``
         — the corrective-renewal inner loop of ``_commit_failures``,
@@ -927,9 +920,7 @@ class VectorizedKernel:
             st.factor[e][rows] = 1.0
         st.dirty[rows] = True
 
-    def _advance(
-        self, st: _ChunkState, t1: float, rng: np.random.Generator
-    ) -> None:
+    def _advance(self, st: _ChunkState, t1: float) -> None:
         """Run all rows forward until no event remains at or before
         ``t1``: alternate earliest-switch application and failure
         commits until the composed system failure times clear ``t1``.
@@ -955,9 +946,9 @@ class VectorizedKernel:
             hot = (~st.done & ((st.T <= t1) | (st.S <= t1))).nonzero()[0]
             if not len(hot):
                 return
-            if self._apply_switches(st, hot, t1, rng):
+            if self._apply_switches(st, hot, t1):
                 continue
-            if not self._commit_failures(st, hot, t1, rng):
+            if not self._commit_failures(st, hot, t1):
                 return
         raise SimulationError(
             "vectorized kernel failed to converge advancing the chunk "
@@ -971,7 +962,6 @@ class VectorizedKernel:
         t: float,
         repairs: List[_PlanCols],
         passes: Tuple[_FusedInspect, ...],
-        rng: np.random.Generator,
     ) -> None:
         # System restoration (priority 1) precedes repair/inspection
         # ticks at the same instant, so rows restored exactly at t are
@@ -984,9 +974,9 @@ class VectorizedKernel:
         if repairs:
             act_rows = active.nonzero()[0]
             for plan in repairs:
-                self._repair(st, t, plan, active, act_rows, disc, rng)
+                self._repair(st, t, plan, active, act_rows, disc)
         for fe in passes:
-            self._inspect_fused(st, t, fe, active, disc, rng)
+            self._inspect_fused(st, t, fe, active, disc)
         # End-of-epoch RDEP reconciliation: replacements above may have
         # un-failed trigger components, decelerating their targets.  The
         # object engine reschedules the pending target transition at the
@@ -1004,7 +994,7 @@ class VectorizedKernel:
             if up.any():
                 up_rows = rows[up]
                 phases = self._phase_at(st, tgt, up_rows, t)
-                self._redraw(st, tgt, up_rows, t, phases, new_fac[up], rng)
+                self._redraw(st, tgt, up_rows, t, phases, new_fac[up])
             down_rows = rows[~up]
             if len(down_rows):
                 st.factor[tgt][down_rows] = new_fac[~up]
@@ -1021,7 +1011,6 @@ class VectorizedKernel:
         fe: _FusedInspect,
         active: np.ndarray,
         disc: float,
-        rng: np.random.Generator,
     ) -> None:
         """One inspection pass (see :class:`_FusedInspect`).
 
@@ -1085,15 +1074,13 @@ class VectorizedKernel:
                     merged = np.concatenate((frows, rows))
                 if merged is not None:
                     fac = self._current_factor_or_none(st, e, merged, t)
-                    self._redraw(st, e, merged, t, None, fac, rng)
+                    self._redraw(st, e, merged, t, None, fac)
             else:
                 if frows is not None:
                     fac = self._current_factor_or_none(st, e, frows, t)
-                    self._redraw(st, e, frows, t, None, fac, rng)
+                    self._redraw(st, e, frows, t, None, fac)
                 if rows is not None:
-                    self._apply_action(
-                        st, e, rows, t, None, restore_phases, rng
-                    )
+                    self._apply_action(st, e, rows, t, None, restore_phases)
 
     def _repair(
         self,
@@ -1103,7 +1090,6 @@ class VectorizedKernel:
         active: np.ndarray,
         act_rows: np.ndarray,
         disc: float,
-        rng: np.random.Generator,
     ) -> None:
         # Time-based repairs apply the action to every target regardless
         # of condition — including failed ones, which come back at
@@ -1111,9 +1097,7 @@ class VectorizedKernel:
         for e, _, action_cost, _ in plan.targets:
             st.costs["preventive"] += (action_cost * disc) * active
             st.n_prev += active
-            self._apply_action(
-                st, e, act_rows, t, None, plan.restore_phases, rng
-            )
+            self._apply_action(st, e, act_rows, t, None, plan.restore_phases)
 
     def _apply_action(
         self,
@@ -1123,7 +1107,6 @@ class VectorizedKernel:
         t: float,
         phases: Optional[np.ndarray],
         restore_phases: Optional[int],
-        rng: np.random.Generator,
     ) -> None:
         """Mirror of _perform_action: restore the phase, re-draw the
         chain from ``t``.  The object engine re-draws the pending jump
@@ -1138,7 +1121,7 @@ class VectorizedKernel:
                 phases = self._phase_at(st, e, rows, t)
             new_phases = np.maximum(phases - restore_phases, 0)
         fac = self._current_factor_or_none(st, e, rows, t)
-        self._redraw(st, e, rows, t, new_phases, fac, rng)
+        self._redraw(st, e, rows, t, new_phases, fac)
 
     def _current_factor_or_none(
         self, st: _ChunkState, e: int, rows: np.ndarray, t
@@ -1172,14 +1155,14 @@ class VectorizedKernel:
         for e in range(self.n_events):
             st.jumps[e] = np.empty((n, self.K[e]))
             st.p0[e] = np.zeros(n, dtype=np.int64)
-            self._redraw(st, e, all_rows, 0.0, None, None, rng)
+            self._redraw(st, e, all_rows, 0.0, None, None)
         n_steps = len(self.epochs) + 1
         for i, (t, repairs, passes) in enumerate(self.epochs):
-            self._advance(st, t, rng)
-            self._process_epoch(st, t, repairs, passes, rng)
+            self._advance(st, t)
+            self._process_epoch(st, t, repairs, passes)
             if progress is not None:
                 progress((i + 1) / n_steps)
-        self._advance(st, self.horizon, rng)
+        self._advance(st, self.horizon)
         if progress is not None:
             progress(1.0)
         return self._build_batch(st)

@@ -34,7 +34,10 @@ __all__ = ["StudyKey", "canonical", "study_material", "CODE_SALT"]
 #: change; the package version covers release-level semantic changes.
 #: v2: the vectorized kernel runs one even chunk plan seeded per chunk
 #: (its results changed), and the material always names the kernel.
-_FORMAT_VERSION = 2
+#: v3: the vectorized kernel visits rounds that meet at an instant in
+#: the object engine's order (its results changed where that differs
+#: from plan order).
+_FORMAT_VERSION = 3
 
 CODE_SALT = f"repro-{__version__}/studies-v{_FORMAT_VERSION}"
 

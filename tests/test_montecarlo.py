@@ -4,6 +4,12 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.maintenance.strategy import MaintenanceStrategy
+from repro.observability.instrumentation import (
+    TIMER_SIMULATE,
+    TIMER_SUMMARIZE,
+    Instrumentation,
+)
+from repro.simulation.executor import FMTSimulator, SimulationConfig
 from repro.simulation.montecarlo import MonteCarlo
 from repro.stats.sequential import RelativePrecisionRule
 
@@ -176,3 +182,18 @@ def test_run_to_precision_rejects_bad_batch(maintained_tree):
 
 def test_horizon_property(maintained_tree):
     assert _mc(maintained_tree, horizon=12.5).horizon == 12.5
+
+
+def test_simulator_config_instrumentation_times_summarize(maintained_tree):
+    """The simulator's own instrumentation gets every timer of the
+    study, not only the ones its simulator records."""
+    instrumentation = Instrumentation()
+    simulator = FMTSimulator(
+        maintained_tree,
+        MaintenanceStrategy("corrective"),
+        config=SimulationConfig(horizon=5.0, instrumentation=instrumentation),
+    )
+    MonteCarlo(simulator=simulator, seed=1).run(20)
+    timers = instrumentation.registry.to_dict()["timers"]
+    assert TIMER_SIMULATE in timers
+    assert TIMER_SUMMARIZE in timers

@@ -221,14 +221,14 @@ def test_rare_event_parallel_bit_identical(markovian_tree, method):
 def test_rare_event_worker_crash_raises_simulation_error(
     markovian_tree, monkeypatch
 ):
-    def crash(self, seeds):
+    def crash(self, rng):
         os._exit(1)
 
-    # Pool workers are forked, so they run the patched method.
-    monkeypatch.setattr(RareEventEstimator, "_run_units", crash)
+    # Pool workers are forked, so they run the patched unit body.
+    monkeypatch.setattr(RareEventEstimator, "simulate", crash)
     config = RareEventConfig(method="restart", n_roots=8, n_levels=2)
     mc = MonteCarlo(markovian_tree, _absorbing(), horizon=8.0, seed=9)
-    with pytest.raises(SimulationError, match="rare-event worker"):
+    with pytest.raises(SimulationError, match="worker process"):
         mc.run_rare_event(config, processes=2)
 
 

@@ -127,7 +127,8 @@ def test_canonical_fast_paths_render_the_general_form():
 
 def test_study_key_digests_pinned():
     """Digests of the benchmark's studies, recorded before the fast
-    paths of canonical(): the rendering must not change a single byte."""
+    paths of canonical(): the rendering must not change a single byte.
+    A ``CODE_SALT`` bump changes the digests (last: ``studies-v3``)."""
     from repro.eijoint import build_ei_joint_fmt, current_policy
     from repro.eijoint.parameters import default_cost_model, default_parameters
     from repro.eijoint.strategies import inspection_policy
@@ -141,10 +142,10 @@ def test_study_key_digests_pinned():
         n_runs=2000,
     )
     assert service.key().digest == (
-        "8c55126ffbddec875a02a5dd376a6455e6adf14caa3e9b54eb2640d125b950e2"
+        "6015df75526da56510174ef499bd59ccf19ed601869f880ebb0d87eb69a5d223"
     )
     assert dataclasses.replace(service, kernel="vectorized").key().digest == (
-        "8a4b1eac5cc8a7b197452dccd19775426a85237b895053fc5c82041e4d7c534a"
+        "194155d698469193fa6287dcc0e867971db2c3df6145b3e379146b510bf20ddd"
     )
     parameters = default_parameters()
     grid = StudyRequest(
@@ -157,7 +158,7 @@ def test_study_key_digests_pinned():
         kernel="vectorized",
     )
     assert grid.key().digest == (
-        "548ed779d701c56b474433d47da91879904ae07ad56da088fb5fbc2653ffe9c4"
+        "f59f9c2fff7047babf7fb580b3546f790948343986cd4301a6c530e3c5a3c801"
     )
 
 

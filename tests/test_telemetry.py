@@ -378,6 +378,56 @@ def test_rare_event_progress_and_span():
     assert units[-1]["done"] is True
 
 
+def _rare_event_counters_progress_spans(processes):
+    """A watched, traced, instrumented 8-root RESTART run."""
+    from repro.core.builder import FMTBuilder
+    from repro.maintenance.strategy import MaintenanceStrategy
+    from repro.rareevent.estimator import RareEventConfig
+
+    builder = FMTBuilder("markovian")
+    builder.degraded_event("left", phases=3, mean=30.0)
+    builder.degraded_event("right", phases=2, mean=20.0)
+    builder.and_gate("top", ["left", "right"])
+    mc = MonteCarlo(
+        builder.build("top"),
+        MaintenanceStrategy("absorbing", on_system_failure="none"),
+        horizon=8.0,
+        seed=9,
+    )
+    config = RareEventConfig(method="restart", n_roots=8, n_levels=2)
+    instrumentation = Instrumentation()
+    collector = SpanCollector()
+    buffer = io.StringIO()
+    with obs.use(instrumentation), sp.use(collector), use_progress(
+        JsonlProgressReporter(stream=buffer)
+    ):
+        result = mc.run_rare_event(config, processes=processes)
+    counters = {
+        name: value
+        for name, value in instrumentation.registry.to_dict()["counters"].items()
+        if name.startswith(("sim.", "rare."))
+    }
+    events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    return result, counters, events, collector.records
+
+
+def test_pooled_rare_event_run_reports_what_a_serial_run_does():
+    serial, serial_counters, _, _ = _rare_event_counters_progress_spans(1)
+    result, counters, events, spans = _rare_event_counters_progress_spans(2)
+    assert result == serial
+    assert any(name.startswith("sim.") for name in serial_counters)
+    assert counters == serial_counters
+    # The driver reports one progress record per unit, the last done.
+    units = [e for e in events if e["phase"] == "rare.units"]
+    assert len(units) == len(events) == result.n_units
+    assert [e["completed"] for e in units] == list(range(1, result.n_units + 1))
+    assert units[-1]["done"] is True
+    (run,) = [r for r in spans if r["name"] == "mc.run_rare_event"]
+    chunks = [r for r in spans if r["name"] == "worker.chunk"]
+    assert len(chunks) == result.n_units
+    assert all(c["parent_id"] == run["span_id"] for c in chunks)
+
+
 # ----------------------------------------------------------------------
 # Prometheus exposition
 # ----------------------------------------------------------------------

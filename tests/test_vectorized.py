@@ -364,3 +364,29 @@ def test_repair_module_matches_object_engine():
     )
     assert report.fallback_reason is None
     assert report.passed, report.describe()
+
+
+def test_rounds_sharing_a_component_visit_in_the_engines_order():
+    """At an instant where rounds meet, both engines run them in the
+    order the engine scheduled them: from t = 2 on, the period-2 round
+    goes before the period-1 round, so its ``replace()`` renews what the
+    period-1 ``clean`` would otherwise have partly restored."""
+    builder = FMTBuilder("shared")
+    builder.degraded_event("c", phases=3, mean=3.0, threshold=1)
+    builder.basic_event("d", mean=50.0)
+    builder.or_gate("top", ["c", "d"])
+    strategy = MaintenanceStrategy("shared", inspections=(
+        InspectionModule("i", period=1.0, targets=["c"],
+                         action=clean(restore_phases=1)),
+        InspectionModule("j", period=2.0, targets=["c"], action=replace()),
+    ))
+    report = compare_kernels(
+        builder.build("top"),
+        strategy,
+        horizon=20.0,
+        cost_model=CostModel(action_costs={"clean": 1.0, "replace": 100.0}),
+        n_runs=4000,
+        seed=11,
+    )
+    assert report.fallback_reason is None
+    assert report.passed, report.describe()
