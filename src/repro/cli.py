@@ -35,9 +35,10 @@ within one invocation.  ``--cache-dir PATH`` additionally persists the
 results, so a rerun with the same configuration simulates nothing
 (bit-identical output either way); ``--no-cache`` disables the disk
 cache for one invocation; ``--processes N`` sizes the shared worker
-pool used for large studies.  ``serve`` shares the same flags: a
-service started with ``--cache-dir`` answers previously computed
-studies synchronously.  See docs/api.md and docs/service.md.
+pool that every study simulates on (default: the CPU count, at most 8;
+``1`` is serial, with the same output).  ``serve`` shares the same
+flags: a service started with ``--cache-dir`` answers previously
+computed studies synchronously.  See docs/api.md and docs/service.md.
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ def _observability_parent() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes of the shared simulation pool "
-        "(default 1 = serial; serve defaults to the CPU count, at "
-        "most 8, and simulates every study on the pool)",
+        help="worker processes of the shared simulation pool, on which "
+        "every study of every verb simulates (default: the CPU count, "
+        "at most 8; 1 = serial, with the same output)",
     )
     return parent
 
@@ -637,6 +638,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     instrumentation = (
         Instrumentation() if (args.profile or args.metrics_out) else None
     )
+    if args.command == "serve" and instrumentation is None:
+        # The service's registry backs its /metrics endpoint.
+        instrumentation = Instrumentation()
     from repro.observability import spans as _spans
     from repro.observability.progress import (
         JsonlProgressReporter,
@@ -647,21 +651,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.observability.tracing import write_spans
     from repro.studies import StudyRunner, use_runner
 
-    cache_dir = None if args.no_cache else args.cache_dir
+    study_runner = StudyRunner(
+        cache_dir=None if args.no_cache else args.cache_dir,
+        processes=args.processes,
+        instrumentation=instrumentation,
+    )
     if args.command == "serve":
-        # The service owns its lifecycle: it always carries an
-        # instrumentation (backing /metrics) and closes the runner when
-        # the server stops.  Every study simulates on the pool, so the
-        # job threads never hold the interpreter lock for the kernel.
-        instrumentation = (
-            instrumentation if instrumentation is not None else Instrumentation()
-        )
-        study_runner = StudyRunner(
-            cache_dir=cache_dir,
-            processes=args.processes,
-            parallel_threshold=1,
-            instrumentation=instrumentation,
-        )
+        # The service closes the runner when the server stops.
         return _cmd_serve(args, study_runner, instrumentation)
     reporters = []
     if args.progress:
@@ -670,11 +666,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         reporters.append(JsonlProgressReporter(path=args.progress_out))
     reporter = tee(*reporters) if reporters else None
     collector = _spans.SpanCollector() if args.trace_out is not None else None
-    study_runner = StudyRunner(
-        cache_dir=cache_dir,
-        processes=args.processes if args.processes is not None else 1,
-        instrumentation=instrumentation,
-    )
     try:
         with use(instrumentation), use_runner(study_runner), use_progress(
             reporter

@@ -36,8 +36,6 @@ out); :func:`serve_app` mounts it on the shared
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.observability.exposition import CONTENT_TYPE, render_prometheus
@@ -56,10 +54,6 @@ __all__ = ["StudyService", "serve_app"]
 
 _JSON = "application/json"
 _NDJSON = "application/x-ndjson"
-
-#: Kernel-routing memo bound (simulator-material digests retained).
-_FALLBACK_MEMO_MAX = 256
-_UNCLASSIFIED = object()
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -123,9 +117,7 @@ class StudyService:
         )
         if runner is None:
             runner = StudyRunner(
-                processes=None,
-                parallel_threshold=1,
-                instrumentation=self.instrumentation,
+                processes=None, instrumentation=self.instrumentation
             )
         elif runner.instrumentation is None:
             runner.instrumentation = self.instrumentation
@@ -138,11 +130,6 @@ class StudyService:
             workers=workers,
             retry_after=retry_after,
         )
-        # simulator-material digest -> vectorized fallback reason (or
-        # None).  The classification is a pure function of the model,
-        # so repeat submissions skip the prototype walk entirely.
-        self._fallback_memo: "OrderedDict[str, Optional[str]]" = OrderedDict()
-        self._fallback_memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Routing
@@ -261,27 +248,12 @@ class StudyService:
         from dataclasses import replace
 
         from repro.simulation.vectorized import vectorized_fallback_reason
-        from repro.studies.key import StudyKey
 
         explicit = "kernel" in payload
         if explicit and request.kernel != "vectorized":
             return request, None
         try:
-            material = StudyKey.from_material(
-                request.simulator_material()
-            ).digest
-            with self._fallback_memo_lock:
-                memoized = self._fallback_memo.get(material, _UNCLASSIFIED)
-            if memoized is not _UNCLASSIFIED:
-                reason = memoized
-            else:
-                reason = vectorized_fallback_reason(
-                    self.runner.prototype(request)
-                )
-                with self._fallback_memo_lock:
-                    while len(self._fallback_memo) >= _FALLBACK_MEMO_MAX:
-                        self._fallback_memo.popitem(last=False)
-                    self._fallback_memo[material] = reason
+            reason = vectorized_fallback_reason(self.runner.prototype(request))
         except Exception:
             # A model the simulator rejects fails identically on either
             # kernel; let the job (or the synchronous cache path)

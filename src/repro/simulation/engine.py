@@ -436,8 +436,3 @@ class Engine:
             self._running = False
         if not self._stopped:
             self.now = t_end
-
-    def _drop_cancelled(self) -> None:
-        queue = self._queue
-        while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)

@@ -1152,16 +1152,6 @@ class FMTSimulator:
             previous = time
         return True
 
-    def _evaluate_gate(self, gate: Gate) -> bool:
-        """Full (non-incremental) gate evaluation; kept for cross-checks."""
-        if isinstance(gate, PandGate):
-            times = [
-                self._fail_time[child.name] if self._state[child.name] else None
-                for child in gate.children
-            ]
-            return gate.evaluate_ordered(times)
-        return gate.evaluate([self._state[child.name] for child in gate.children])
-
     def _apply_rdep_effects(self, trigger_name: str) -> None:
         for dep in self._rdeps_by_trigger.get(trigger_name, ()):
             for target in dep.targets:

@@ -87,11 +87,6 @@ __all__ = [
 
 logger = get_logger(__name__)
 
-#: Studies at or above this replication count fan out to the shared
-#: pool (when the runner has one); smaller studies run serially, where
-#: IPC overhead would dominate.
-DEFAULT_PARALLEL_THRESHOLD = 1000
-
 #: In-memory artifact entries kept before least-recently-used eviction.
 DEFAULT_MAX_MEMO_ENTRIES = 512
 
@@ -282,9 +277,10 @@ class StudyRunner:
     processes:
         Size of the shared worker pool, fixed once here (``None`` picks
         :func:`~repro.simulation.parallel.default_process_count`).
-        ``1`` disables parallelism entirely.
-    parallel_threshold:
-        Minimum ``n_runs`` for a study to use the shared pool.
+        With more than one, every study simulates on that pool, and
+        every rare-event estimate on a dedicated pool of the same size;
+        ``1`` runs everything in-process.  Either way a study returns
+        the same bytes.
     max_memo_entries:
         In-memory artifact entries kept before LRU eviction (the disk
         cache, when enabled, still holds evicted artifacts).
@@ -298,7 +294,6 @@ class StudyRunner:
         self,
         cache_dir: Optional[str] = None,
         processes: int = 1,
-        parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
         max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES,
         instrumentation: Optional[Instrumentation] = None,
     ):
@@ -311,17 +306,12 @@ class StudyRunner:
             processes = default_process_count()
         if processes < 1:
             raise ValidationError(f"processes must be >= 1, got {processes}")
-        if parallel_threshold < 1:
-            raise ValidationError(
-                f"parallel_threshold must be >= 1, got {parallel_threshold}"
-            )
         if max_memo_entries < 1:
             raise ValidationError(
                 f"max_memo_entries must be >= 1, got {max_memo_entries}"
             )
         self.disk = DiskCache(cache_dir) if cache_dir is not None else None
         self.processes = processes
-        self.parallel_threshold = parallel_threshold
         self.max_memo_entries = max_memo_entries
         self.instrumentation = instrumentation
         self._memo: "OrderedDict[str, Any]" = OrderedDict()
@@ -357,22 +347,10 @@ class StudyRunner:
         because the caller is expected to follow up with
         :meth:`summary` (which records the miss).
         """
-        key = request.key().derive("summary", None)
-        hit, value = self._memo_get(key.digest)
-        if hit:
+        outcome, value = self._lookup(request.key().derive("summary", None))
+        if outcome is not None:
             self._count(_obs.STUDY_REQUESTS)
-            self._count(_obs.STUDY_MEMO_HITS)
-            return value
-        if self.disk is not None:
-            hit, value, corrupt = self.disk.load(key)
-            if corrupt:
-                self._count(_obs.STUDY_DISK_CORRUPT)
-            if hit:
-                self._count(_obs.STUDY_REQUESTS)
-                self._count(_obs.STUDY_DISK_HITS)
-                self._memo_put(key.digest, value)
-                return value
-        return None
+        return value
 
     def result(self, request: StudyRequest) -> MonteCarloResult:
         """Like :meth:`summary`, wrapped in a :class:`MonteCarloResult`.
@@ -446,12 +424,15 @@ class StudyRunner:
         ``request.n_runs`` is ignored by the splitting estimator (the
         effort lives in ``config``); by convention requests pass
         ``n_runs=1`` so unrelated replication knobs do not fracture
-        the key.
+        the key.  A pooled runner runs the units on a dedicated pool of
+        :attr:`processes` workers (:meth:`MonteCarlo.run_rare_event`).
         """
 
         def compute() -> Tuple[Any, Dict[StudyKey, Any], int]:
             driver = request.driver(simulator=self._prototype(request))
-            result = driver.run_rare_event(config, confidence=request.confidence)
+            result = driver.run_rare_event(
+                config, confidence=request.confidence, processes=self.processes
+            )
             return result, {}, result.n_trajectories
 
         return self._artifact(
@@ -525,6 +506,27 @@ class StudyRunner:
             self.disk.store(key, value)
             self._count(_obs.STUDY_DISK_WRITES)
 
+    def _lookup(self, key: StudyKey) -> Tuple[Optional[str], Any]:
+        """``(outcome, value)`` of ``key`` from the memo, else the disk.
+
+        ``outcome`` is ``"memo_hit"`` or ``"disk_hit"`` (counted, and a
+        disk hit is memoized), or ``None`` on a miss, which counts
+        nothing but a corrupt disk entry.
+        """
+        hit, value = self._memo_get(key.digest)
+        if hit:
+            self._count(_obs.STUDY_MEMO_HITS)
+            return "memo_hit", value
+        if self.disk is not None:
+            hit, value, corrupt = self.disk.load(key)
+            if corrupt:
+                self._count(_obs.STUDY_DISK_CORRUPT)
+            if hit:
+                self._count(_obs.STUDY_DISK_HITS)
+                self._memo_put(key.digest, value)
+                return "disk_hit", value
+        return None, None
+
     def _artifact(
         self,
         base: StudyKey,
@@ -545,20 +547,10 @@ class StudyRunner:
             "study.request",
             {"artifact": artifact, "digest": key.digest[:12]},
         ) as request_span:
-            hit, value = self._memo_get(key.digest)
-            if hit:
-                self._count(_obs.STUDY_MEMO_HITS)
-                request_span.set_attribute("outcome", "memo_hit")
+            outcome, value = self._lookup(key)
+            if outcome is not None:
+                request_span.set_attribute("outcome", outcome)
                 return value
-            if self.disk is not None:
-                hit, value, corrupt = self.disk.load(key)
-                if corrupt:
-                    self._count(_obs.STUDY_DISK_CORRUPT)
-                if hit:
-                    self._count(_obs.STUDY_DISK_HITS)
-                    request_span.set_attribute("outcome", "disk_hit")
-                    self._memo_put(key.digest, value)
-                    return value
             self._count(_obs.STUDY_MISSES)
             request_span.set_attribute("outcome", "miss")
             # The runner's sink also takes the simulation's sim.*
@@ -617,10 +609,7 @@ class StudyRunner:
         self, request: StudyRequest, keep_trajectories: bool
     ) -> MonteCarloResult:
         driver = request.driver(simulator=self._prototype(request))
-        if (
-            self._pool is not None
-            and request.n_runs >= self.parallel_threshold
-        ):
+        if self._pool is not None:
             return driver.run_parallel(
                 request.n_runs,
                 confidence=request.confidence,

@@ -4,9 +4,8 @@ The lockstep kernel runs one chunk plan, a pure function of
 ``(n_runs, chunk_trajectories)``, and seeds chunk ``i`` from
 ``root.spawn(k)[i]``.  So a serial ``run``, ``run_parallel`` on any
 number of processes (dedicated or shared pool, shared-memory fold on or
-off), a watched or a silent run, and a ``StudyRunner`` on either side
-of its ``parallel_threshold`` must all return ``==`` summaries, having
-spawned exactly ``k`` streams.
+off), a watched or a silent run, and a pooled ``StudyRunner`` must all
+return ``==`` summaries, having spawned exactly ``k`` streams.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from repro.simulation.montecarlo import MonteCarlo
 from repro.simulation.parallel import SharedSimulationPool
 from repro.simulation.vectorized import chunk_plan
 from repro.studies.runner import StudyRequest, StudyRunner
-
-#: Runs at or above this go through the runner's pool.
-THRESHOLD = 600
-
 
 def _tree():
     builder = FMTBuilder("fanout")
@@ -81,7 +76,7 @@ def pools():
 
 @pytest.fixture(scope="module")
 def runner():
-    pooled = StudyRunner(processes=2, parallel_threshold=THRESHOLD)
+    pooled = StudyRunner(processes=2)
     yield pooled
     pooled.close()
 
@@ -174,8 +169,8 @@ def test_fanout_invariance(study, pools, runner):
         serial.summary
     )
 
-    # The runner switches to its pool at THRESHOLD; either side must
-    # return the serial bytes.
+    # The pooled runner simulates every study on its pool, with the
+    # serial bytes.
     request = StudyRequest(
         tree=TREE,
         strategy=STRATEGY,
@@ -188,8 +183,8 @@ def test_fanout_invariance(study, pools, runner):
     assert runner.summary(request) == serial.summary
 
 
-@pytest.mark.parametrize("n_runs", [THRESHOLD - 1, THRESHOLD])
-def test_runner_threshold_sides_match_serial(n_runs, runner):
+@pytest.mark.parametrize("n_runs", [1, 599, 600])
+def test_pooled_runner_matches_serial(n_runs, runner):
     request = StudyRequest(
         tree=TREE,
         strategy=STRATEGY,

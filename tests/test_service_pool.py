@@ -75,9 +75,7 @@ def _serial(request):
 
 def test_pooled_service_forks_workers_first_and_keeps_them(simple_or_tree):
     before = _children()
-    service = StudyService(
-        StudyRunner(processes=2, parallel_threshold=1), workers=2
-    )
+    service = StudyService(StudyRunner(processes=2), workers=2)
     try:
         workers = _children() - before
         assert len(workers) == 2  # forked before the first submission
@@ -118,9 +116,7 @@ def test_worker_crash_fails_one_job_not_the_service(
         )
 
     monkeypatch.setattr(StudyRequest, "build_simulator", build_simulator)
-    service = StudyService(
-        StudyRunner(processes=2, parallel_threshold=1), workers=1
-    )
+    service = StudyService(StudyRunner(processes=2), workers=1)
     try:
         crashing = _request(simple_or_tree, seed=5, horizon=CRASH_HORIZON)
         status, submitted = _submit(service, crashing)
@@ -159,7 +155,6 @@ def test_default_runner_pools_every_study(simple_or_tree, monkeypatch, cpus):
     service = StudyService(workers=1)
     try:
         assert service.runner.processes == cpus
-        assert service.runner.parallel_threshold == 1
         assert len(_children() - before) == (cpus if cpus > 1 else 0)
         request = _request(simple_or_tree, seed=9, n_runs=10)
         status, submitted = _submit(service, request)

@@ -11,7 +11,8 @@ import pytest
 from repro.errors import ValidationError
 from repro.maintenance.costs import CostModel
 from repro.maintenance.strategy import MaintenanceStrategy
-from repro.observability import Instrumentation
+from repro.observability import Instrumentation, SpanCollector
+from repro.observability import spans
 from repro.rareevent import RareEventConfig
 from repro.simulation.montecarlo import MonteCarlo
 from repro.studies import (
@@ -326,6 +327,35 @@ def test_rare_event_matches_direct_run(request_for, maintained_tree, inspection_
     assert cached.unreliability == direct.unreliability
 
 
+def test_pooled_runner_simulates_a_one_run_study_on_its_pool(request_for):
+    collector = SpanCollector()
+    with StudyRunner(processes=2) as pooled, spans.use(collector):
+        summary = pooled.summary(request_for(n_runs=1))
+    names = [record["name"] for record in collector.records]
+    assert "mc.run" not in names
+    (run,) = [r for r in collector.records if r["name"] == "mc.run_parallel"]
+    assert run["attributes"]["processes"] == 2
+    chunks = [r for r in collector.records if r["name"] == "worker.chunk"]
+    assert chunks and all(c["parent_id"] == run["span_id"] for c in chunks)
+    serial = StudyRunner(processes=1).summary(request_for(n_runs=1))
+    assert pickle.dumps(summary) == pickle.dumps(serial)
+
+
+def test_pooled_runner_runs_rare_event_units_on_a_pool(request_for):
+    config = RareEventConfig(
+        method="fixed_effort", thresholds=(0.5,), effort=20, n_replications=2
+    )
+    collector = SpanCollector()
+    with StudyRunner(processes=2) as pooled, spans.use(collector):
+        estimate = pooled.rare_event(request_for(n_runs=1), config)
+    (run,) = [r for r in collector.records if r["name"] == "mc.run_rare_event"]
+    assert run["attributes"]["processes"] == 2
+    chunks = [r for r in collector.records if r["name"] == "worker.chunk"]
+    assert len(chunks) == config.n_units
+    assert all(c["parent_id"] == run["span_id"] for c in chunks)
+    assert estimate == StudyRunner().rare_event(request_for(n_runs=1), config)
+
+
 def test_memo_eviction_counter(request_for):
     instr = Instrumentation()
     runner = StudyRunner(max_memo_entries=2, instrumentation=instr)
@@ -353,9 +383,7 @@ def test_disk_cache_roundtrip_bit_identical(tmp_path, request_for):
 
 def test_disk_cache_bit_identical_via_parallel_path(tmp_path, request_for, maintained_tree, inspection_strategy):
     """A cache entry written by a pooled run equals the serial result."""
-    parallel = StudyRunner(
-        cache_dir=str(tmp_path), processes=2, parallel_threshold=10
-    )
+    parallel = StudyRunner(cache_dir=str(tmp_path), processes=2)
     try:
         pooled = parallel.summary(request_for())
     finally:
@@ -459,8 +487,6 @@ def test_get_runner_falls_back_to_default():
 def test_runner_validation():
     with pytest.raises(ValidationError):
         StudyRunner(processes=0)
-    with pytest.raises(ValidationError):
-        StudyRunner(parallel_threshold=0)
     with pytest.raises(ValidationError):
         StudyRunner(max_memo_entries=0)
 

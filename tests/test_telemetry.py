@@ -510,6 +510,7 @@ def test_cli_progress_and_trace_out(tmp_path, capsys, maintained_tree):
     trace_path = tmp_path / "trace.jsonl"
     code = main([
         "simulate", str(model), "--runs", "120", "--horizon", "10",
+        "--processes", "1",
         "--progress-out", str(progress_path), "--trace-out", str(trace_path),
     ])
     assert code == 0
@@ -526,6 +527,30 @@ def test_cli_progress_and_trace_out(tmp_path, capsys, maintained_tree):
     assert all(
         r["parent_id"] is None or r["parent_id"] in ids for r in spans
     )
+
+
+def test_cli_simulates_on_a_pool_by_default(
+    tmp_path, capsys, maintained_tree, monkeypatch
+):
+    from repro.simulation import parallel
+
+    monkeypatch.setattr(parallel, "_available_cpu_count", lambda: 2)
+    model = tmp_path / "model.fmt"
+    save_file(maintained_tree, model)
+    trace_path = tmp_path / "trace.jsonl"
+    args = ["simulate", str(model), "--runs", "120", "--horizon", "10"]
+    assert main(args + ["--trace-out", str(trace_path)]) == 0
+    pooled = capsys.readouterr().out
+    spans = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    names = TallyCounter(r["name"] for r in spans)
+    assert names["mc.run_parallel"] == 1 and names["worker.chunk"] >= 1
+    assert "mc.run" not in names
+    ids = {r["span_id"] for r in spans}
+    assert all(
+        r["parent_id"] is None or r["parent_id"] in ids for r in spans
+    )
+    assert main(args + ["--processes", "1"]) == 0
+    assert capsys.readouterr().out == pooled
 
 
 def test_cli_metrics_serve_requires_readable_snapshot(tmp_path, capsys):
