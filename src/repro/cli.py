@@ -44,6 +44,7 @@ computed studies synchronously.  See docs/api.md and docs/service.md.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import warnings
 from typing import List, Optional, Sequence
@@ -509,6 +510,10 @@ def _cmd_serve(args: argparse.Namespace, study_runner, instrumentation) -> int:
     if args.max_pending < 1:
         print("serve: --max-pending must be >= 1", file=sys.stderr)
         return 2
+    if signal.getsignal(signal.SIGINT) is signal.SIG_IGN:
+        # A script's background jobs start with SIGINT ignored, but it is
+        # the documented stop: take it back before the pool forks.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     server = serve_app(
         study_runner,
         host=args.host,

@@ -55,7 +55,6 @@ TIMER_SUMMARIZE = "mc.summarize.seconds"
 # sets per-worker utilization gauges under SIM_WORKER_PREFIX
 # ("sim.worker.<n>.chunks" / ".trajectories" / ".busy_seconds").
 SIM_WORKERS = "sim.workers"
-SIM_WORKER_CHUNKS = "sim.worker_chunks"
 SIM_WORKER_PREFIX = "sim.worker"
 # Rare-event splitting (repro.rareevent) counters.
 RARE_SEGMENTS = "rare.segments"

@@ -35,16 +35,13 @@ pooled runs are bit-identical, and the pipeline's fold reports the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import stats as sps
 
 from repro.errors import EstimationError, ValidationError
-from repro.observability import instrumentation as _obs
-from repro.observability import spans as _spans
-from repro.observability.progress import current_progress
 from repro.rareevent.importance import (
     StructureImportance,
     candidate_thresholds,
@@ -57,7 +54,7 @@ from repro.rareevent.splitting import (
     SplittingRun,
 )
 from repro.simulation.executor import FMTSimulator
-from repro.simulation.parallel import WorkerTelemetry, sample_parallel
+from repro.simulation import parallel
 from repro.stats.confidence import (
     ConfidenceInterval,
     mean_confidence_interval,
@@ -275,14 +272,17 @@ class RareEventEstimator:
         unit_seeds: Sequence[np.random.SeedSequence],
         confidence: float = 0.95,
         processes: int = 1,
+        pool: Optional[parallel.SharedSimulationPool] = None,
     ) -> RareEventResult:
         """Run every unit and aggregate into a :class:`RareEventResult`.
 
         ``unit_seeds`` must hold exactly ``config.n_units`` seed
         sequences (one per replication or root).  The units run one per
-        chunk-pipeline task, on a dedicated pool of ``processes``
-        workers when ``processes > 1``; the result is bit-identical to
-        the serial run because each unit consumes only its own seed.
+        chunk-pipeline task: on ``pool`` when one is given (its size
+        then wins over ``processes``), else on a pool of ``processes``
+        workers used once when ``processes > 1``.  The result is
+        bit-identical to the serial run because each unit consumes only
+        its own seed.
         """
         expected = self.config.n_units
         if len(unit_seeds) != expected:
@@ -290,22 +290,11 @@ class RareEventEstimator:
                 f"expected {expected} unit seeds for method "
                 f"{self.config.method!r}, got {len(unit_seeds)}"
             )
-        telemetry = WorkerTelemetry(progress=current_progress(), phase="rare.units")
-        if processes > 1:
-            # Pooled units ship their metrics and spans back to the fold;
-            # in-process ones count straight into the driver's registry.
-            instrumentation = self.simulator.config.instrumentation
-            if instrumentation is None:
-                instrumentation = _obs.current()
-            context = _spans.current_context()
-            telemetry = replace(
-                telemetry,
-                instrumentation=instrumentation,
-                collector=_spans.current_collector(),
-                span_parent=context.to_dict() if context is not None else None,
-            )
-        units = sample_parallel(
-            self, unit_seeds, processes, chunk_size=1, telemetry=telemetry
+        if pool is not None:
+            processes = pool.processes
+        units = parallel.sample_parallel(
+            self, unit_seeds, processes, chunk_size=1, pool=pool,
+            telemetry=parallel.worker_telemetry(self, processes, "rare.units"),
         )
         if self.config.method == "fixed_effort":
             return self._combine_fixed_effort(units, confidence)

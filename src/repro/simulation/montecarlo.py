@@ -257,7 +257,6 @@ class MonteCarlo:
                 ),
             )
             self.simulator = FMTSimulator(tree, strategy, config=config)
-        self.instrumentation = instrumentation
         self.seed = seed
         # Stored only; consumed exclusively by run_rare_event().  The
         # constructor performs no RNG activity for it, so crude-MC runs
@@ -294,27 +293,11 @@ class MonteCarlo:
         self._streams_used += n_runs
         return _Streams(self._seed_sequence, n_runs)
 
-    def _resolve_instrumentation(self) -> Optional[Instrumentation]:
-        """Explicit instrumentation, else the simulator's, else ambient."""
-        if self.instrumentation is not None:
-            return self.instrumentation
-        config_instrumentation = self.simulator.config.instrumentation
-        if config_instrumentation is not None:
-            return config_instrumentation
-        return _obs.current()
-
-    @staticmethod
-    def _resolve_progress(
-        progress: Optional[ProgressReporter],
-    ) -> Optional[ProgressReporter]:
-        """Explicit reporter, else the ambient one, else None."""
-        return progress if progress is not None else current_progress()
-
     def _summarize(
         self, trajectories: Trajectories, confidence: float
     ) -> KpiSummary:
         """KPI aggregation, timed when instrumentation is active."""
-        instr = self._resolve_instrumentation()
+        instr = parallel.instrumentation_of(self.simulator)
         if instr is None:
             return summarize(trajectories, confidence)
         with instr.timer(_obs.TIMER_SUMMARIZE).time():
@@ -365,15 +348,16 @@ class MonteCarlo:
         :class:`~repro.simulation.parallel.SharedSimulationPool` reuses
         its workers instead of spawning a dedicated pool (the pool's
         size then wins over ``processes``).  One process runs the
-        study's tasks in-process, exactly as :meth:`run` does.
+        study's tasks in-process with the telemetry of :meth:`run`.
 
-        With telemetry attached — instrumentation (explicit or
-        ambient), an ambient span collector, or a progress reporter —
+        On a pool, with telemetry attached — instrumentation (explicit
+        or ambient), an ambient span collector, or a progress reporter —
         each worker chunk runs under a ``worker.chunk`` span parented
         to this call's ``mc.run_parallel`` span and ships its metrics
         registry back for merging, so parallel profiles report worker-
         side counters and per-worker ``sim.worker.<n>.*`` utilization
-        gauges.  All of it is passive: results stay bit-identical.
+        gauges (:func:`~repro.simulation.parallel.worker_telemetry`).
+        All of it is passive: results stay bit-identical.
         """
         if pool is None and processes is not None and processes < 1:
             raise ValidationError(f"processes must be >= 1, got {processes}")
@@ -385,16 +369,10 @@ class MonteCarlo:
         logger.info(kv("run_parallel fan-out", processes=processes, runs=n_runs))
         with _spans.span(
             "mc.run_parallel", {"n_runs": n_runs, "processes": processes}
-        ) as run_span:
-            context = run_span.context
-            telemetry = parallel.WorkerTelemetry(
-                instrumentation=self._resolve_instrumentation(),
-                collector=_spans.current_collector(),
-                span_parent=context.to_dict() if context is not None else None,
-                progress=self._resolve_progress(progress),
-            )
+        ):
             return self._simulate(
-                seeds, processes, pool, telemetry, keep_trajectories, confidence
+                seeds, processes, pool, "mc.run_parallel", progress,
+                keep_trajectories, confidence,
             )
 
     def run(
@@ -422,11 +400,8 @@ class MonteCarlo:
         with _spans.span(
             "mc.run", {"n_runs": n_runs, "keep_trajectories": keep_trajectories}
         ):
-            telemetry = parallel.WorkerTelemetry(
-                progress=self._resolve_progress(progress), phase="mc.run"
-            )
             return self._simulate(
-                self._seed_items(n_runs), 1, None, telemetry,
+                self._seed_items(n_runs), 1, None, "mc.run", progress,
                 keep_trajectories, confidence,
             )
 
@@ -435,7 +410,8 @@ class MonteCarlo:
         seeds: Sequence,
         processes: int,
         pool: Optional["SharedSimulationPool"],
-        telemetry: "parallel.WorkerTelemetry",
+        phase: str,
+        progress: Optional[ProgressReporter],
         keep_trajectories: bool,
         confidence: float,
     ) -> MonteCarloResult:
@@ -446,6 +422,9 @@ class MonteCarlo:
         columns, and kept trajectories are rebuilt from the batch
         (equal to the engine's objects).
         """
+        telemetry = parallel.worker_telemetry(
+            self.simulator, processes, phase, progress
+        )
         if keep_trajectories and self.simulator.config.record_events:
             trajectories = tuple(
                 parallel.sample_parallel(
@@ -472,6 +451,7 @@ class MonteCarlo:
         config: Optional["RareEventConfig"] = None,
         confidence: float = 0.95,
         processes: int = 1,
+        pool: Optional["SharedSimulationPool"] = None,
     ) -> "RareEventResult":
         """Estimate the unreliability by importance splitting.
 
@@ -480,9 +460,11 @@ class MonteCarlo:
         :class:`~repro.rareevent.estimator.RareEventConfig`.  One child
         seed stream is consumed per independent unit (replication or
         RESTART root).  The units run one per task on the chunk
-        pipeline (:mod:`repro.simulation.parallel`); ``processes > 1``
-        runs them on a dedicated pool with bit-identical results, and
-        with the pipeline's worker-metric, span and progress fold.
+        pipeline (:mod:`repro.simulation.parallel`), as
+        :meth:`run_parallel`'s do: on ``pool`` when one is given (its
+        size then wins over ``processes``), else on a pool used once
+        when ``processes > 1``, with bit-identical results and with the
+        pipeline's worker-metric, span and progress fold.
 
         Returns a :class:`~repro.rareevent.estimator.RareEventResult`
         whose ``unreliability`` interval is directly comparable to
@@ -490,6 +472,8 @@ class MonteCarlo:
         """
         from repro.rareevent.estimator import RareEventConfig, RareEventEstimator
 
+        if pool is not None:
+            processes = pool.processes
         if config is None:
             config = self.rare_event
         if config is None:
@@ -516,7 +500,7 @@ class MonteCarlo:
             },
         ):
             return estimator.estimate(
-                seeds, confidence=confidence, processes=processes
+                seeds, confidence=confidence, processes=processes, pool=pool
             )
 
     def run_to_precision(
@@ -575,7 +559,7 @@ class MonteCarlo:
             raise ValidationError(
                 f"max_zero_samples must be >= 1, got {max_zero_samples}"
             )
-        reporter = self._resolve_progress(progress)
+        reporter = progress if progress is not None else current_progress()
         statistics = RunningStatistics()
         collected: List[Trajectory] = []
         # With keep_trajectories=False the batches are folded straight

@@ -44,17 +44,18 @@ estimates share this dispatch, fold and crash path.
 
 Telemetry round-trip
 --------------------
-A task may carry the dispatching span's serialized
+One rule, :func:`worker_telemetry`, sets a run's telemetry by where its
+chunks run.  A pool task carries the dispatching span's serialized
 :class:`~repro.observability.spans.SpanContext` and a collect-metrics
-flag.  Its chunk then runs under a ``worker.chunk`` span and into a
-fresh per-chunk registry, and both ride back on the result.  The fold
+flag: its chunk runs under a ``worker.chunk`` span and into a fresh
+per-chunk registry, and both ride back on the result.  The fold
 merges the registries into the parent one
 (:meth:`MetricsRegistry.merge`), feeds the span records to the
 collector, builds the run's progress events (between chunks, and from
 inside in-process lockstep chunks), and finally publishes per-worker
 utilization gauges (``sim.worker.<n>.chunks`` / ``.trajectories`` /
-``.busy_seconds`` plus ``sim.workers``).  With telemetry off the
-results travel with empty telemetry fields.
+``.busy_seconds`` plus ``sim.workers``).  In-process chunks count
+straight into the simulator's registry and ship nothing back.
 
 A worker process dying (OOM-kill, segfault, ``os._exit``) surfaces as
 a :class:`~repro.errors.SimulationError` instead of a hang or an
@@ -83,13 +84,14 @@ import numpy as np
 
 from repro.errors import SimulationError, ValidationError
 from repro.observability import instrumentation as _obs
+from repro.observability import spans as _spans
 from repro.observability.instrumentation import (
     SIM_WORKER_PREFIX,
     SIM_WORKERS,
     Instrumentation,
 )
 from repro.observability.logging_setup import get_logger, kv
-from repro.observability.progress import ProgressEvent
+from repro.observability.progress import ProgressEvent, ProgressReporter, current_progress
 from repro.observability.spans import Span, SpanCollector
 from repro.simulation.batch import TrajectoryAccumulator, TrajectoryBatch
 from repro.simulation.executor import FMTSimulator
@@ -209,6 +211,14 @@ def simulate_batch_columns(
     return _columns(simulator, seeds)
 
 
+def instrumentation_of(simulator: FMTSimulator) -> Optional[Instrumentation]:
+    """The registry ``simulator`` counts into: its config's, else the
+    ambient one.  A stand-in (a rare-event estimator) answers for the
+    simulator it drives."""
+    instr = getattr(simulator, "simulator", simulator).config.instrumentation
+    return instr if instr is not None else _obs.current()
+
+
 def _columns(
     simulator: FMTSimulator,
     seeds: Sequence,
@@ -226,9 +236,7 @@ def _columns(
         accumulator.extend(_trajectories(simulator, seeds))
         return accumulator.finalize()
     kernel = VectorizedKernel(simulator)
-    instr = simulator.config.instrumentation
-    if instr is None:
-        instr = _obs.current()
+    instr = instrumentation_of(simulator)
     done = 0
     for item in seeds:
         size, seed = item if isinstance(item, tuple) else (1, item)
@@ -482,22 +490,46 @@ class SharedSimulationPool:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkerTelemetry:
-    """Driver-side telemetry configuration for one run.
-
-    Built by :meth:`MonteCarlo.run` (progress only: its chunks count
-    straight into the driver's instrumentation),
-    :meth:`MonteCarlo.run_parallel` and
-    :meth:`~repro.rareevent.estimator.RareEventEstimator.estimate`
-    (progress only on one process) from the explicit/ambient
-    instrumentation, span collector, and progress reporter.  The
-    default — ``None`` everywhere — is telemetry off.
-    """
+    """Driver-side telemetry configuration for one run, built by
+    :func:`worker_telemetry`.  The default — ``None`` everywhere — is
+    telemetry off."""
 
     instrumentation: Optional[Instrumentation] = None
     collector: Optional[SpanCollector] = None
     span_parent: Optional[Dict[str, str]] = None
-    progress: Optional[Any] = None  # ProgressReporter
+    progress: Optional[ProgressReporter] = None
     phase: str = "mc.run_parallel"
+
+
+def worker_telemetry(
+    simulator: FMTSimulator,
+    processes: int,
+    phase: str,
+    progress: Optional[ProgressReporter] = None,
+) -> WorkerTelemetry:
+    """The telemetry of a run whose chunks run on ``processes``.
+
+    Progress goes to ``progress``, else the ambient reporter.  In-process
+    chunks count straight into the simulator's registry
+    (:func:`instrumentation_of`); pooled ones ship theirs back for
+    merging, with a ``worker.chunk`` span under the ambient span, and
+    leave ``sim.worker.<n>.*`` gauges.
+    """
+    if progress is None:
+        progress = current_progress()
+    if processes == 1:
+        return WorkerTelemetry(progress=progress, phase=phase)
+    context = _spans.current_context()
+    return WorkerTelemetry(
+        instrumentation=instrumentation_of(simulator),
+        collector=_spans.current_collector(),
+        span_parent=context.to_dict() if context is not None else None,
+        progress=progress,
+        phase=phase,
+    )
+
+
+_SILENT = WorkerTelemetry()
 
 
 class _Fold:
@@ -680,7 +712,7 @@ def sample_parallel(
     processes: int,
     chunk_size: Optional[int] = None,
     pool: Optional[SharedSimulationPool] = None,
-    telemetry: Optional[WorkerTelemetry] = None,
+    telemetry: WorkerTelemetry = _SILENT,
 ) -> List[Trajectory]:
     """Simulate one trajectory per seed across worker processes.
 
@@ -689,9 +721,9 @@ def sample_parallel(
     :class:`SharedSimulationPool` is given its workers are reused and
     ``processes`` is taken from the pool; otherwise a dedicated pool is
     used for this call (none at all for one process).  ``telemetry``
-    opts into the worker metric/span/progress round-trip (see the
-    module docstring) — trajectories are bit-identical with or without
-    it.
+    (built by :func:`worker_telemetry` for the process count the
+    chunks run on) opts into the worker metric/span/progress
+    round-trip — trajectories are bit-identical with or without it.
 
     Raises
     ------
@@ -701,7 +733,6 @@ def sample_parallel(
     """
     if pool is not None:
         processes = pool.processes
-    telemetry = telemetry if telemetry is not None else WorkerTelemetry()
     tasks, total = _tasks(simulator, seeds, processes, chunk_size, True, telemetry)
     results: List[Trajectory] = []
     for chunk in _dispatch(simulator, tasks, total, processes, pool, telemetry):
@@ -715,7 +746,7 @@ def sample_parallel_batch(
     processes: int,
     chunk_size: Optional[int] = None,
     pool: Optional[SharedSimulationPool] = None,
-    telemetry: Optional[WorkerTelemetry] = None,
+    telemetry: WorkerTelemetry = _SILENT,
     use_shared_memory: Optional[bool] = None,
 ) -> TrajectoryBatch:
     """Like :func:`sample_parallel`, returning packed batch columns.
@@ -746,7 +777,6 @@ def sample_parallel_batch(
     """
     if pool is not None:
         processes = pool.processes
-    telemetry = telemetry if telemetry is not None else WorkerTelemetry()
     tasks, total = _tasks(simulator, seeds, processes, chunk_size, False, telemetry)
     horizon = simulator.config.horizon
     writer = None

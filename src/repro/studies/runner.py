@@ -277,10 +277,9 @@ class StudyRunner:
     processes:
         Size of the shared worker pool, fixed once here (``None`` picks
         :func:`~repro.simulation.parallel.default_process_count`).
-        With more than one, every study simulates on that pool, and
-        every rare-event estimate on a dedicated pool of the same size;
-        ``1`` runs everything in-process.  Either way a study returns
-        the same bytes.
+        With more than one, every study and every rare-event estimate
+        simulates on that one pool; ``1`` runs everything in-process.
+        Either way a study returns the same bytes.
     max_memo_entries:
         In-memory artifact entries kept before LRU eviction (the disk
         cache, when enabled, still holds evicted artifacts).
@@ -424,14 +423,14 @@ class StudyRunner:
         ``request.n_runs`` is ignored by the splitting estimator (the
         effort lives in ``config``); by convention requests pass
         ``n_runs=1`` so unrelated replication knobs do not fracture
-        the key.  A pooled runner runs the units on a dedicated pool of
-        :attr:`processes` workers (:meth:`MonteCarlo.run_rare_event`).
+        the key.  A pooled runner runs the units on its shared pool
+        (:meth:`MonteCarlo.run_rare_event`).
         """
 
         def compute() -> Tuple[Any, Dict[StudyKey, Any], int]:
-            driver = request.driver(simulator=self._prototype(request))
+            driver = request.driver(simulator=self.prototype(request))
             result = driver.run_rare_event(
-                config, confidence=request.confidence, processes=self.processes
+                config, confidence=request.confidence, pool=self._pool
             )
             return result, {}, result.n_trajectories
 
@@ -577,20 +576,14 @@ class StudyRunner:
     def prototype(self, request: StudyRequest) -> FMTSimulator:
         """The cached validated simulator for ``request``'s material.
 
-        Public accessor for callers (the service's kernel router) that
-        need to inspect a validated simulator without running a study;
-        shares the same LRU as the study path, so the inspection is
-        free for any model the runner will simulate anyway.
-        """
-        return self._prototype(request)
-
-    def _prototype(self, request: StudyRequest) -> FMTSimulator:
-        """The cached simulator prototype for the request's material.
-
         Keyed by :meth:`StudyRequest.simulator_material`, so every
         (tree, strategy, horizon, cost model) combination validates its
         tree and builds its static tables once per runner; each study
         then clones the prototype (per-run state is never shared).
+        Callers that need to inspect a validated simulator without
+        running a study (the service's kernel router) share the same
+        LRU, so the inspection is free for any model the runner will
+        simulate anyway.
         """
         digest = StudyKey.from_material(request.simulator_material()).digest
         with self._lock:
@@ -608,7 +601,7 @@ class StudyRunner:
     def _simulate(
         self, request: StudyRequest, keep_trajectories: bool
     ) -> MonteCarloResult:
-        driver = request.driver(simulator=self._prototype(request))
+        driver = request.driver(simulator=self.prototype(request))
         if self._pool is not None:
             return driver.run_parallel(
                 request.n_runs,

@@ -38,6 +38,18 @@ MonteCarlo(build_ei_joint_fmt(), current_policy(), horizon=50.0, seed=3).run_rar
 )
 """
 
+#: ``repro serve`` started the way a shell starts a script's background
+#: job: with SIGINT ignored, so Python installs no handler of its own.
+SERVE_WITH_SIGINT_IGNORED = """
+import signal
+import sys
+
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+from repro.cli import main
+
+sys.exit(main(["serve", "--port", "0", "--processes", "2", "--no-cache"]))
+"""
+
 
 def _children(pid):
     try:
@@ -129,5 +141,15 @@ def test_idle_pool_workers_print_no_traceback_on_ctrl_c():
     )
     assert code == 0
     assert seconds < 10.0
+    assert "KeyboardInterrupt" not in stderr, stderr
+    _assert_children_gone(children)
+
+
+def test_serve_started_with_sigint_ignored_stops_on_sigint():
+    code, seconds, stderr, children = _interrupt(
+        ["-c", SERVE_WITH_SIGINT_IGNORED], settle=0.5
+    )
+    assert code == 0, stderr
+    assert seconds < 10.0, f"took {seconds:.1f}s to exit after SIGINT"
     assert "KeyboardInterrupt" not in stderr, stderr
     _assert_children_gone(children)

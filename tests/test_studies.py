@@ -356,6 +356,25 @@ def test_pooled_runner_runs_rare_event_units_on_a_pool(request_for):
     assert estimate == StudyRunner().rare_event(request_for(n_runs=1), config)
 
 
+def test_pooled_runner_runs_studies_and_rare_events_on_one_pool(request_for):
+    config = RareEventConfig(
+        method="fixed_effort", thresholds=(0.5,), effort=20, n_replications=2
+    )
+    collector = SpanCollector()
+    with StudyRunner(processes=2) as pooled, spans.use(collector):
+        pooled.summary(request_for(n_runs=200))
+        estimate = pooled.rare_event(request_for(n_runs=1), config)
+        workers = set(pooled._pool.executor()._processes)
+    pids = {
+        r["attributes"]["pid"]
+        for r in collector.records
+        if r["name"] == "worker.chunk"
+    }
+    assert len(workers) == 2
+    assert pids and pids <= workers
+    assert estimate == StudyRunner().rare_event(request_for(n_runs=1), config)
+
+
 def test_memo_eviction_counter(request_for):
     instr = Instrumentation()
     runner = StudyRunner(max_memo_entries=2, instrumentation=instr)

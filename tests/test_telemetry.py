@@ -335,6 +335,33 @@ def test_run_parallel_roundtrip_merges_workers_and_connects_spans(
     assert events[-1]["done"] is True and events[-1]["completed"] == 80
 
 
+@pytest.mark.parametrize("kernel", ["object", "vectorized"])
+def test_in_process_run_parallel_reports_what_run_does(kernel):
+    from repro.eijoint.model import build_ei_joint_fmt
+    from repro.eijoint.strategies import current_policy
+
+    def watched(call):
+        instrumentation, collector = Instrumentation(), SpanCollector()
+        mc = MonteCarlo(
+            build_ei_joint_fmt(), current_policy(), horizon=15.0, seed=2016,
+            kernel=kernel,
+        )
+        with obs.use(instrumentation), sp.use(collector):
+            summary = call(mc).summary
+        registry = instrumentation.registry.to_dict()
+        names = [r["name"] for r in collector.records]
+        return summary, registry["counters"], registry["gauges"], names
+
+    run = watched(lambda mc: mc.run(300))
+    in_process = watched(lambda mc: mc.run_parallel(300, processes=1))
+    assert in_process[0] == run[0]
+    assert in_process[1] == run[1]
+    assert run[1][obs.SIM_TRAJECTORIES] == 300
+    for _, _, gauges, names in (run, in_process):
+        assert "worker.chunk" not in names
+        assert not [n for n in gauges if n.startswith(obs.SIM_WORKER_PREFIX)]
+
+
 def test_run_parallel_without_telemetry_unchanged(
     maintained_tree, inspection_strategy
 ):
