@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.core.events import BasicEvent
 from repro.errors import AnalysisError, UnsupportedModelError
@@ -115,6 +114,8 @@ class PeriodicInspectionModel:
         key = round(dt, 12)
         hit = self._step_cache.get(key)
         if hit is None:
+            from scipy.linalg import expm
+
             hit = expm(self._augmented * dt)
             self._step_cache[key] = hit
         n = self._dimension

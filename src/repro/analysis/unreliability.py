@@ -15,8 +15,6 @@ import math
 from itertools import combinations
 from typing import Dict, Tuple
 
-from scipy import integrate
-
 from repro.analysis.bdd import build_bdd
 from repro.analysis.cutsets import minimal_cut_sets
 from repro.core.tree import FaultMaintenanceTree
@@ -166,6 +164,8 @@ def mean_time_to_failure(
     Computed by numeric quadrature of ``1 - unreliability(t)`` over
     ``[0, inf)`` on the compiled BDD.
     """
+    from scipy import integrate
+
     _check_static(tree, ignore_maintenance, ignore_dependencies)
     bdd, root = build_bdd(tree, treat_pand_as_and=treat_pand_as_and)
     events = tree.basic_events

@@ -9,12 +9,14 @@ assigns dense indices.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import AnalysisError, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - static-analysis imports
+    from scipy import sparse
 
 __all__ = ["CTMC", "CTMCBuilder"]
 
@@ -82,6 +84,8 @@ class CTMCBuilder:
         rows.extend(range(n))
         cols.extend(range(n))
         vals.extend(diagonal)
+        from scipy import sparse
+
         generator = sparse.csr_matrix(
             (vals, (rows, cols)), shape=(n, n), dtype=float
         )

@@ -16,8 +16,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from repro.ctmc.chain import CTMC
 from repro.errors import AnalysisError
@@ -37,6 +35,8 @@ def transient_distribution(
     pi0 = ctmc.initial if initial is None else np.asarray(initial, dtype=float)
     if t == 0.0:
         return pi0.copy()
+    from scipy import sparse
+
     rate = ctmc.uniformization_rate()
     # P = I + Q / rate, kept sparse; vector-matrix products only.
     P = sparse.identity(ctmc.n_states, format="csr") + ctmc.generator / rate
@@ -115,6 +115,8 @@ def steady_state(ctmc: CTMC) -> np.ndarray:
     a[n - 1, :] = 1.0
     b = np.zeros(n)
     b[n - 1] = 1.0
+    from scipy.sparse.linalg import spsolve
+
     try:
         pi = spsolve(a.tocsr(), b)
     except Exception as exc:  # scipy raises various singularity errors

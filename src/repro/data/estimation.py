@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special, stats as sps
 
 from repro.data.incidents import IncidentDatabase
 from repro.errors import EstimationError
@@ -82,6 +81,8 @@ def erlang_log_likelihood(samples: Sequence[float], shape: int, rate: float) -> 
     x = np.asarray(samples, dtype=float)
     if np.any(x <= 0.0):
         raise EstimationError("Erlang samples must be positive")
+    from scipy import special
+
     n = len(x)
     return float(
         n * shape * math.log(rate)
@@ -131,7 +132,7 @@ def fit_erlang_censored(sample: LifetimeSample, shape: int) -> Erlang:
 
     by bounded 1-D search on the log-rate.
     """
-    from scipy import optimize
+    from scipy import optimize, stats as sps
 
     if shape < 1:
         raise EstimationError(f"shape must be >= 1, got {shape}")
@@ -175,6 +176,8 @@ def fit_weibull(samples: Sequence[float]) -> Weibull:
         raise EstimationError(f"need at least 2 samples, got {len(x)}")
     if np.any(x <= 0.0):
         raise EstimationError("Weibull samples must be positive")
+    from scipy import stats as sps
+
     shape, _, scale = sps.weibull_min.fit(x, floc=0.0)
     return Weibull(scale=float(scale), shape=float(shape))
 
@@ -190,6 +193,8 @@ def poisson_rate_interval(
         raise EstimationError(f"count must be >= 0, got {count}")
     if exposure <= 0.0:
         raise EstimationError(f"exposure must be positive, got {exposure}")
+    from scipy import stats as sps
+
     alpha = 1.0 - confidence
     lower = 0.0
     if count > 0:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from scipy import optimize, stats as sps
-
 from repro.errors import EstimationError
 from repro.stats.distributions import Erlang
 
@@ -98,6 +96,8 @@ def fit_erlang_to_quantiles(
     targets = [quantiles[level] for level in levels]
     if any(t <= 0.0 for t in targets):
         raise EstimationError("quantile values must be positive")
+
+    from scipy import optimize, stats as sps
 
     best: Optional[Tuple[float, int, float]] = None
     for shape in range(1, max_phases + 1):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.data.estimation import fit_erlang_censored, lifetimes_from_database
 from repro.data.expert import (
@@ -72,6 +71,8 @@ def simulate_expert_interviews(
     re-sorted so each expert's quantiles stay monotone (as a real
     elicitation protocol enforces).
     """
+    from scipy import stats as sps
+
     true_quantiles = {
         level: float(
             sps.gamma.ppf(

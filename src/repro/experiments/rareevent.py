@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from scipy import stats as sps
-
 from repro.eijoint.model import build_ei_joint_fmt
 from repro.eijoint.parameters import default_parameters
 from repro.eijoint.strategies import inspection_policy
@@ -228,6 +226,8 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
     # Semi-analytic anchor: the dominant mode alone is an Erlang race
     # that inspections cannot see, so its exact one-year failure
     # probability lower-bounds the system unreliability.
+    from scipy import stats as sps
+
     anchor = float(sps.gamma.cdf(HORIZON, a=3, scale=150.0 / 3.0))
     result.notes.append(
         f"semi-analytic anchor: P(endpost Erlang-3, mean 150 y, fails in "

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import EstimationError, ValidationError
 from repro.rareevent.importance import (
@@ -82,7 +81,9 @@ def crude_equivalent_runs(interval: ConfidenceInterval) -> Optional[int]:
     p = interval.estimate
     if p <= 0.0 or p >= 1.0 or interval.half_width <= 0.0:
         return None
-    z = float(sps.norm.ppf(0.5 + 0.5 * interval.confidence))
+    from scipy.special import ndtri
+
+    z = float(ndtri(0.5 + 0.5 * interval.confidence))
     relative = interval.half_width / p
     return int(math.ceil(z * z * (1.0 - p) / (p * relative * relative)))
 
@@ -347,7 +348,9 @@ class RareEventEstimator:
             for p, n in zip(unit.stage_probabilities, unit.stage_trials)
             if p > 0.0
         )
-        z = float(sps.norm.ppf(0.5 + 0.5 * confidence))
+        from scipy.special import ndtri
+
+        z = float(ndtri(0.5 + 0.5 * confidence))
         spread = math.exp(z * math.sqrt(variance_log))
         estimate = unit.estimate
         return ConfidenceInterval(

@@ -36,7 +36,11 @@ import numpy as np
 
 from repro.errors import EstimationError, ValidationError
 from repro.observability import instrumentation as _obs
-from repro.simulation.executor import FMTSimulator, SimulatorSnapshot
+from repro.simulation.executor import (
+    FMTSimulator,
+    SimulatorSnapshot,
+    instrumentation_of,
+)
 
 __all__ = ["FixedEffortSplitting", "RestartSplitting", "SplittingRun", "RestartRoot"]
 
@@ -109,8 +113,7 @@ class _SplittingBase:
 
     def _start(self, seed_sequence: np.random.SeedSequence) -> None:
         self._seed_sequence = seed_sequence
-        instr = self.simulator.config.instrumentation
-        self._instr = instr if instr is not None else _obs.current()
+        self._instr = instrumentation_of(self.simulator)
         self._segments = 0
 
     def _next_rng(self) -> np.random.Generator:

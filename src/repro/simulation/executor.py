@@ -345,6 +345,14 @@ class _VisitCalendar:
                 self.paid.append(term)
 
 
+def instrumentation_of(simulator: FMTSimulator) -> Optional[Instrumentation]:
+    """The registry ``simulator`` counts into: its config's, else the
+    ambient one.  A stand-in (a rare-event estimator) answers for the
+    simulator it drives."""
+    instr = getattr(simulator, "simulator", simulator).config.instrumentation
+    return instr if instr is not None else _obs.current()
+
+
 class FMTSimulator:
     """Simulates trajectories of one (tree, strategy) pair.
 
@@ -949,9 +957,7 @@ class FMTSimulator:
     # Setup / teardown
     # ------------------------------------------------------------------
     def _reset(self, rng: np.random.Generator) -> None:
-        instr = self.config.instrumentation
-        if instr is None:
-            instr = _obs.current()
+        instr = instrumentation_of(self)
         if instr is not self._instr:
             # Fold the tallies so far into the *outgoing* registry
             # before swapping in the new one.

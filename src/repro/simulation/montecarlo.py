@@ -40,6 +40,7 @@ from repro.simulation.executor import (
     DEFAULT_CHUNK_TRAJECTORIES,
     FMTSimulator,
     SimulationConfig,
+    instrumentation_of,
 )
 from repro.simulation.metrics import (
     KpiSummary,
@@ -297,7 +298,7 @@ class MonteCarlo:
         self, trajectories: Trajectories, confidence: float
     ) -> KpiSummary:
         """KPI aggregation, timed when instrumentation is active."""
-        instr = parallel.instrumentation_of(self.simulator)
+        instr = instrumentation_of(self.simulator)
         if instr is None:
             return summarize(trajectories, confidence)
         with instr.timer(_obs.TIMER_SUMMARIZE).time():

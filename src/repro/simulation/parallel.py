@@ -94,7 +94,7 @@ from repro.observability.logging_setup import get_logger, kv
 from repro.observability.progress import ProgressEvent, ProgressReporter, current_progress
 from repro.observability.spans import Span, SpanCollector
 from repro.simulation.batch import TrajectoryAccumulator, TrajectoryBatch
-from repro.simulation.executor import FMTSimulator
+from repro.simulation.executor import FMTSimulator, instrumentation_of
 from repro.simulation.shm import (
     ShmBatchWriter,
     ShmChunkSpec,
@@ -209,14 +209,6 @@ def simulate_batch_columns(
     ``len(seeds)``.
     """
     return _columns(simulator, seeds)
-
-
-def instrumentation_of(simulator: FMTSimulator) -> Optional[Instrumentation]:
-    """The registry ``simulator`` counts into: its config's, else the
-    ambient one.  A stand-in (a rare-event estimator) answers for the
-    simulator it drives."""
-    instr = getattr(simulator, "simulator", simulator).config.instrumentation
-    return instr if instr is not None else _obs.current()
 
 
 def _columns(

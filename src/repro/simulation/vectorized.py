@@ -59,6 +59,7 @@ from repro.simulation.executor import (
     DEFAULT_CHUNK_TRAJECTORIES,
     FMTSimulator,
     _replay_schedule,
+    instrumentation_of,
 )
 
 __all__ = [
@@ -1215,9 +1216,7 @@ def _iter_seed_chunks(
 ) -> Iterator[TrajectoryBatch]:
     if chunk_size is None:
         chunk_size = simulator.config.chunk_trajectories
-    instr = simulator.config.instrumentation
-    if instr is None:
-        instr = _obs.current()
+    instr = instrumentation_of(simulator)
     reason = vectorized_fallback_reason(simulator)
     kernel = None if reason is not None else VectorizedKernel(simulator)
     for start in range(0, len(seeds), chunk_size):

@@ -3,7 +3,11 @@ and sequential stopping rules for Monte Carlo estimation.
 
 This package is self-contained (it only uses numpy/scipy) and is shared
 by the fault-tree core, the discrete-event simulator, and the parameter
-estimation code.
+estimation code.  Importing it loads no scipy module: each function
+imports what it calls.  Confidence intervals take their Student-t and
+normal quantiles from ``scipy.special`` (``stdtrit``, ``ndtri``), the
+functions ``scipy.stats.t.ppf`` and ``norm.ppf`` evaluate, so the
+bounds are the same to the bit (``tests/test_confidence.py`` pins it).
 """
 
 from repro.stats.confidence import (

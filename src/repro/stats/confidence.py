@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "ConfidenceInterval",
@@ -99,7 +98,9 @@ def mean_confidence_interval(
 def _t_half_width(n: int, variance: float, confidence: float) -> float:
     if variance <= 0.0:
         return 0.0
-    critical = sps.t.ppf(0.5 + 0.5 * confidence, df=n - 1)
+    from scipy.special import stdtrit
+
+    critical = stdtrit(n - 1, 0.5 + 0.5 * confidence)
     return float(critical) * math.sqrt(variance / n)
 
 
@@ -116,7 +117,9 @@ def wilson_interval(
         raise ValueError(f"invalid counts: {successes} successes of {trials} trials")
     if trials == 0:
         return ConfidenceInterval(0.0, 0.0, 1.0, confidence)
-    z = float(sps.norm.ppf(0.5 + 0.5 * confidence))
+    from scipy.special import ndtri
+
+    z = float(ndtri(0.5 + 0.5 * confidence))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

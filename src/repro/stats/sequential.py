@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy import stats as sps
-
 from repro.stats.confidence import ConfidenceInterval
 
 __all__ = ["RunningStatistics", "RelativePrecisionRule"]
@@ -58,7 +56,9 @@ class RunningStatistics:
         """Student-t interval around the running mean."""
         if self.count < 2:
             return ConfidenceInterval(self.mean, -math.inf, math.inf, confidence)
-        critical = float(sps.t.ppf(0.5 + 0.5 * confidence, df=self.count - 1))
+        from scipy.special import stdtrit
+
+        critical = float(stdtrit(self.count - 1, 0.5 + 0.5 * confidence))
         half = critical * self.std_error
         return ConfidenceInterval(
             self.mean, self.mean - half, self.mean + half, confidence

@@ -3,16 +3,30 @@
 ``repro.__all__`` is the supported public surface (docs/api.md, "API
 stability & deprecation"); these tests pin the contract: every name
 resolves to a real object, the studies/rare-event surface added by the
-API redesign is present, and every name appears in docs/api.md.
+API redesign is present, and every name appears in docs/api.md.  A
+fresh ``import repro`` loads no scipy module: scipy is imported by the
+function that calls it (docs/performance.md, "Cold start").
 """
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import repro
 
-DOCS_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "api.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DOCS_PATH = os.path.join(ROOT, "docs", "api.md")
+
+#: Appended to each child's code: its loaded scipy modules, as JSON.
+PRINT_SCIPY_MODULES = """
+import json, sys
+print(json.dumps(sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+)))
+"""
 
 
 def _api_doc() -> str:
@@ -107,3 +121,55 @@ def test_facade_roundtrips_a_request_through_the_wire():
         repro.encode_wire(request), expect="study_request"
     )
     assert decoded.key().digest == request.key().digest
+
+
+def _scipy_modules_after(code: str) -> set:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code + PRINT_SCIPY_MODULES],
+        capture_output=True,
+        check=True,
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        text=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import repro") == set()
+
+
+def test_cli_help_loads_no_scipy():
+    code = """
+import runpy, sys
+sys.argv = ["repro", "--help"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+"""
+    assert _scipy_modules_after(code) == set()
+
+
+def test_serial_study_loads_scipy_special_only():
+    """A study's intervals need ``scipy.special``'s quantiles, nothing
+    heavier."""
+    code = """
+from repro.eijoint import build_ei_joint_fmt, current_policy
+from repro.studies import StudyRequest, StudyRunner
+
+request = StudyRequest(
+    tree=build_ei_joint_fmt(), strategy=current_policy(),
+    horizon=10.0, seed=7, n_runs=20,
+)
+StudyRunner(processes=1).summary(request)
+"""
+    loaded = _scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    for heavy in ("stats", "optimize", "integrate", "sparse", "linalg"):
+        package = f"scipy.{heavy}"
+        assert not {m for m in loaded if m == package or m.startswith(package + ".")}

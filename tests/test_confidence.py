@@ -164,5 +164,21 @@ def test_wilson_coverage_on_binomial(rng):
     assert hits / trials > 0.88
 
 
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_special_quantiles_equal_scipy_stats_ppf(confidence):
+    """The intervals take their quantiles from ``scipy.special``.
+
+    ``stdtrit(df, q)`` and ``ndtri(q)`` are what ``scipy.stats``' ``t.ppf``
+    and ``norm.ppf`` evaluate; pinned equal to the bit so that a scipy
+    release that parts them fails here instead of moving a bound.
+    """
+    from scipy import special, stats
+
+    q = 0.5 + 0.5 * confidence
+    df = np.concatenate([np.arange(1, 5001), [10**5, 10**6]])
+    assert np.array_equal(special.stdtrit(df, q), stats.t.ppf(q, df))
+    assert special.ndtri(q) == stats.norm.ppf(q)
+
+
 def test_proportion_ci_is_wilson():
     assert proportion_confidence_interval(3, 10) == wilson_interval(3, 10)
