@@ -295,7 +295,7 @@ class RareEventEstimator:
             processes = pool.processes
         units = parallel.sample_parallel(
             self, unit_seeds, processes, chunk_size=1, pool=pool,
-            telemetry=parallel.worker_telemetry(self, processes, "rare.units"),
+            phase="rare.units",
         )
         if self.config.method == "fixed_effort":
             return self._combine_fixed_effort(units, confidence)

@@ -56,7 +56,7 @@ import math
 import time as _time
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -130,7 +130,9 @@ class SimulationConfig:
         ``sim.simulate.seconds`` timer.  Purely observational: results
         are bit-identical with or without it.  When None, the ambient
         instrumentation (:func:`repro.observability.current`) is used
-        if one is active.
+        if one is active.  A pickled :class:`FMTSimulator` ships
+        without it: pool workers count into per-chunk registries that
+        the driver merges into it.
     kernel:
         Trajectory sampler used by the batch drivers: ``"object"``
         (default) walks the per-object event calendar of this class;
@@ -348,8 +350,11 @@ class _VisitCalendar:
 def instrumentation_of(simulator: FMTSimulator) -> Optional[Instrumentation]:
     """The registry ``simulator`` counts into: its config's, else the
     ambient one.  A stand-in (a rare-event estimator) answers for the
-    simulator it drives."""
-    instr = getattr(simulator, "simulator", simulator).config.instrumentation
+    simulator it drives; one with no ``config`` counts into none."""
+    config = getattr(getattr(simulator, "simulator", simulator), "config", None)
+    if config is None:
+        return None
+    instr = config.instrumentation
     return instr if instr is not None else _obs.current()
 
 
@@ -710,6 +715,11 @@ class FMTSimulator:
         state = dict(self.__dict__)
         for attr in self._PER_RUN_ATTRS + self._REBUILT_ATTRS:
             state.pop(attr, None)
+        if self.config.instrumentation is not None:
+            # A pickled simulator ships no registry: a pool task's copy
+            # would count into a throwaway, and its growing bytes would
+            # change the digest workers cache simulators by.
+            state["config"] = replace(self.config, instrumentation=None)
         return state
 
     def __setstate__(self, state):
@@ -728,7 +738,7 @@ class FMTSimulator:
         simulator with the same arguments.
         """
         new = object.__new__(type(self))
-        new.__setstate__(self.__getstate__())
+        new.__setstate__({**self.__getstate__(), "config": self.config})
         new._calendar = self._calendar
         return new
 

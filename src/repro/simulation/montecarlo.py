@@ -6,17 +6,26 @@ RNG stream per trajectory (object engine) or per lockstep chunk of the
 study's chunk plan (vectorized kernel), so results are invariant to
 batching and to the process count, and fully reproducible.
 
-Two modes are provided: a fixed replication count (:meth:`MonteCarlo.run`)
-and sequential estimation to a target relative precision
+A driver is built one way or the other: from a tree, a strategy and
+the configuration arguments, or from a validated prototype simulator
+alone (``simulator=``), which it clones as it stands.
+
+Two modes are provided: a fixed replication count (:meth:`MonteCarlo.run`,
+or :meth:`MonteCarlo.run_parallel` on worker processes) and sequential
+estimation to a target relative precision
 (:meth:`MonteCarlo.run_to_precision`), mirroring the statistical
-model-checking workflow the paper's analyses used.
+model-checking workflow the paper's analyses used.  The fixed-count
+runs and :meth:`MonteCarlo.run_rare_event` hand their seed items to the
+chunk pipeline (:mod:`repro.simulation.parallel`), which also sets
+their metrics, spans and progress: a run names only its progress
+reporter and phase.
 """
 
 from __future__ import annotations
 
 import time as _time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,24 +183,22 @@ class MonteCarlo:
         prototype to clone instead of building one from ``tree`` and
         ``strategy`` — skips strategy application and tree validation,
         which dominate setup cost when many studies share one model
-        (see :class:`repro.studies.runner.StudyRunner`).  Mutually
-        exclusive with ``tree``/``strategy``/``cost_model``;
-        ``horizon``, if given, must agree with the prototype's.
-        Results are bit-identical to the equivalent ``tree`` +
-        ``strategy`` construction.
+        (see :class:`repro.studies.runner.StudyRunner`).  The prototype
+        is the whole model and configuration: every model or config
+        argument above and below must keep its default.  Results are
+        bit-identical to the equivalent ``tree`` + ``strategy``
+        construction.
     kernel:
         Trajectory sampler for the batch drivers (:meth:`run`,
         :meth:`run_parallel`): ``"object"`` or ``"vectorized"`` (see
-        :class:`~repro.simulation.executor.SimulationConfig`).  ``None``
-        (the default) keeps the prototype's kernel, or ``"object"``
-        when building from a tree.  The per-trajectory entry points
-        (:meth:`sample`, :meth:`run_to_precision`, rare-event
+        :class:`~repro.simulation.executor.SimulationConfig`); ``None``
+        (the default) means ``"object"``.  The per-trajectory entry
+        points (:meth:`sample`, :meth:`run_to_precision`, rare-event
         estimation) always use the object engine.
     chunk_trajectories:
         Cap on the rows of one lockstep chunk of the vectorized kernel
         (see :class:`~repro.simulation.executor.SimulationConfig`).
-        ``None`` (the default) keeps the prototype's / config default
-        value.
+        ``None`` (the default) keeps the config default value.
     """
 
     def __init__(
@@ -209,39 +216,18 @@ class MonteCarlo:
         chunk_trajectories: Optional[int] = None,
     ):
         if simulator is not None:
-            if tree is not None or strategy is not None or cost_model is not None:
+            arguments = (
+                tree, strategy, horizon, cost_model, instrumentation,
+                kernel, chunk_trajectories,
+            )
+            if record_events or any(value is not None for value in arguments):
                 raise ValidationError(
-                    "simulator= is mutually exclusive with tree/strategy/cost_model"
-                )
-            config = simulator.config
-            if horizon is not None and horizon != config.horizon:
-                raise ValidationError(
-                    f"horizon={horizon:g} conflicts with the prototype's "
-                    f"horizon {config.horizon:g}"
-                )
-            if record_events and not config.record_events:
-                raise ValidationError(
-                    "record_events=True conflicts with the prototype's "
-                    "record_events=False configuration"
+                    "simulator= takes the model and configuration of its "
+                    "prototype: leave tree, strategy, horizon, cost_model, "
+                    "record_events, instrumentation, kernel and "
+                    "chunk_trajectories unset"
                 )
             self.simulator = simulator.clone()
-            overrides = {}
-            if (
-                instrumentation is not None
-                and instrumentation is not config.instrumentation
-            ):
-                overrides["instrumentation"] = instrumentation
-            if kernel is not None and kernel != config.kernel:
-                overrides["kernel"] = kernel
-            if (
-                chunk_trajectories is not None
-                and chunk_trajectories != config.chunk_trajectories
-            ):
-                overrides["chunk_trajectories"] = chunk_trajectories
-            if overrides:
-                # replace() re-runs config validation, so an invalid
-                # kernel or kernel/record_events conflict raises here.
-                self.simulator.config = replace(config, **overrides)
         else:
             if tree is None:
                 raise ValidationError("give either tree= or simulator=")
@@ -264,7 +250,6 @@ class MonteCarlo:
         # are bit-identical with the subsystem configured but unused.
         self.rare_event = rare_event
         self._seed_sequence = np.random.SeedSequence(seed)
-        self._streams_used = 0
 
     @property
     def horizon(self) -> float:
@@ -272,9 +257,7 @@ class MonteCarlo:
         return self.simulator.config.horizon
 
     def _next_rng(self) -> np.random.Generator:
-        child = self._seed_sequence.spawn(1)[0]
-        self._streams_used += 1
-        return np.random.default_rng(child)
+        return np.random.default_rng(self._seed_sequence.spawn(1)[0])
 
     def _seed_items(self, n_runs: int) -> Sequence:
         """The study's seed items, consumed from the root seed.
@@ -289,9 +272,7 @@ class MonteCarlo:
             raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
         if runs_lockstep(self.simulator):
             sizes = chunk_plan(n_runs, self.simulator.config.chunk_trajectories)
-            self._streams_used += len(sizes)
             return list(zip(sizes, self._seed_sequence.spawn(len(sizes))))
-        self._streams_used += n_runs
         return _Streams(self._seed_sequence, n_runs)
 
     def _summarize(
@@ -357,8 +338,9 @@ class MonteCarlo:
         to this call's ``mc.run_parallel`` span and ships its metrics
         registry back for merging, so parallel profiles report worker-
         side counters and per-worker ``sim.worker.<n>.*`` utilization
-        gauges (:func:`~repro.simulation.parallel.worker_telemetry`).
-        All of it is passive: results stay bit-identical.
+        gauges (the chunk pipeline's one telemetry rule, see
+        :mod:`repro.simulation.parallel`).  All of it is passive:
+        results stay bit-identical.
         """
         if pool is None and processes is not None and processes < 1:
             raise ValidationError(f"processes must be >= 1, got {processes}")
@@ -423,20 +405,18 @@ class MonteCarlo:
         columns, and kept trajectories are rebuilt from the batch
         (equal to the engine's objects).
         """
-        telemetry = parallel.worker_telemetry(
-            self.simulator, processes, phase, progress
-        )
         if keep_trajectories and self.simulator.config.record_events:
             trajectories = tuple(
                 parallel.sample_parallel(
                     self.simulator, seeds, processes, pool=pool,
-                    telemetry=telemetry,
+                    progress=progress, phase=phase,
                 )
             )
             batch = TrajectoryBatch.from_trajectories(trajectories)
         else:
             batch = parallel.sample_parallel_batch(
-                self.simulator, seeds, processes, pool=pool, telemetry=telemetry
+                self.simulator, seeds, processes, pool=pool,
+                progress=progress, phase=phase,
             )
             trajectories = (
                 tuple(batch.to_trajectories()) if keep_trajectories else None
@@ -481,7 +461,6 @@ class MonteCarlo:
             config = RareEventConfig()
         estimator = RareEventEstimator(self.simulator, config)
         seeds = self._seed_sequence.spawn(config.n_units)
-        self._streams_used += config.n_units
         logger.info(
             kv(
                 "rare-event run",

@@ -44,8 +44,10 @@ estimates share this dispatch, fold and crash path.
 
 Telemetry round-trip
 --------------------
-One rule, :func:`worker_telemetry`, sets a run's telemetry by where its
-chunks run.  A pool task carries the dispatching span's serialized
+The pipeline sets every dispatch's telemetry itself, by one rule
+(:func:`_telemetry`) that depends only on where the chunks run; a
+caller names at most the progress reporter and the progress phase.
+A pool task carries the dispatching span's serialized
 :class:`~repro.observability.spans.SpanContext` and a collect-metrics
 flag: its chunk runs under a ``worker.chunk`` span and into a fresh
 per-chunk registry, and both ride back on the result.  The fold
@@ -55,7 +57,9 @@ collector, builds the run's progress events (between chunks, and from
 inside in-process lockstep chunks), and finally publishes per-worker
 utilization gauges (``sim.worker.<n>.chunks`` / ``.trajectories`` /
 ``.busy_seconds`` plus ``sim.workers``).  In-process chunks count
-straight into the simulator's registry and ship nothing back.
+straight into the simulator's registry and ship nothing back, and no
+registry ships with a pickled simulator
+(:meth:`~repro.simulation.executor.FMTSimulator.__getstate__`).
 
 A worker process dying (OOM-kill, segfault, ``os._exit``) surfaces as
 a :class:`~repro.errors.SimulationError` instead of a hang or an
@@ -111,7 +115,6 @@ __all__ = [
     "sample_parallel_batch",
     "default_process_count",
     "SharedSimulationPool",
-    "WorkerTelemetry",
 ]
 
 logger = get_logger(__name__)
@@ -481,25 +484,23 @@ class SharedSimulationPool:
 # Dispatch and fold
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class WorkerTelemetry:
-    """Driver-side telemetry configuration for one run, built by
-    :func:`worker_telemetry`.  The default — ``None`` everywhere — is
-    telemetry off."""
+class _Telemetry:
+    """What one dispatch reports, and where (see :func:`_telemetry`)."""
 
+    progress: Optional[ProgressReporter]
+    phase: str
     instrumentation: Optional[Instrumentation] = None
     collector: Optional[SpanCollector] = None
     span_parent: Optional[Dict[str, str]] = None
-    progress: Optional[ProgressReporter] = None
-    phase: str = "mc.run_parallel"
 
 
-def worker_telemetry(
+def _telemetry(
     simulator: FMTSimulator,
     processes: int,
     phase: str,
-    progress: Optional[ProgressReporter] = None,
-) -> WorkerTelemetry:
-    """The telemetry of a run whose chunks run on ``processes``.
+    progress: Optional[ProgressReporter],
+) -> _Telemetry:
+    """The telemetry of a dispatch whose chunks run on ``processes``.
 
     Progress goes to ``progress``, else the ambient reporter.  In-process
     chunks count straight into the simulator's registry
@@ -510,18 +511,15 @@ def worker_telemetry(
     if progress is None:
         progress = current_progress()
     if processes == 1:
-        return WorkerTelemetry(progress=progress, phase=phase)
+        return _Telemetry(progress, phase)
     context = _spans.current_context()
-    return WorkerTelemetry(
+    return _Telemetry(
+        progress,
+        phase,
         instrumentation=instrumentation_of(simulator),
         collector=_spans.current_collector(),
         span_parent=context.to_dict() if context is not None else None,
-        progress=progress,
-        phase=phase,
     )
-
-
-_SILENT = WorkerTelemetry()
 
 
 class _Fold:
@@ -533,7 +531,7 @@ class _Fold:
     utilization gauges.
     """
 
-    def __init__(self, telemetry: WorkerTelemetry, total: int):
+    def __init__(self, telemetry: _Telemetry, total: int):
         self.telemetry = telemetry
         self.total = total
         # Trajectories between in-chunk progress events.
@@ -607,7 +605,7 @@ def _tasks(
     processes: int,
     chunk_size: Optional[int],
     objects: bool,
-    telemetry: WorkerTelemetry,
+    telemetry: _Telemetry,
 ) -> Tuple[Iterator[ChunkTask], int]:
     """The run's tasks (cut lazily, in seed order) and its trajectory count.
 
@@ -644,7 +642,7 @@ def _dispatch(
     total: int,
     processes: int,
     pool: Optional[SharedSimulationPool],
-    telemetry: WorkerTelemetry,
+    telemetry: _Telemetry,
 ) -> Iterator[Any]:
     """Yield the tasks' payloads in seed order.
 
@@ -704,7 +702,8 @@ def sample_parallel(
     processes: int,
     chunk_size: Optional[int] = None,
     pool: Optional[SharedSimulationPool] = None,
-    telemetry: WorkerTelemetry = _SILENT,
+    progress: Optional[ProgressReporter] = None,
+    phase: str = "mc.run_parallel",
 ) -> List[Trajectory]:
     """Simulate one trajectory per seed across worker processes.
 
@@ -712,10 +711,11 @@ def sample_parallel(
     run over the same seeds, regardless of worker scheduling).  When a
     :class:`SharedSimulationPool` is given its workers are reused and
     ``processes`` is taken from the pool; otherwise a dedicated pool is
-    used for this call (none at all for one process).  ``telemetry``
-    (built by :func:`worker_telemetry` for the process count the
-    chunks run on) opts into the worker metric/span/progress
-    round-trip — trajectories are bit-identical with or without it.
+    used for this call (none at all for one process).  The call
+    reports its progress events, under ``phase``, to ``progress`` or
+    else the ambient reporter, and its metrics and spans by the
+    pipeline's one rule (:func:`_telemetry`) — trajectories are
+    bit-identical with or without any of it.
 
     Raises
     ------
@@ -725,6 +725,7 @@ def sample_parallel(
     """
     if pool is not None:
         processes = pool.processes
+    telemetry = _telemetry(simulator, processes, phase, progress)
     tasks, total = _tasks(simulator, seeds, processes, chunk_size, True, telemetry)
     results: List[Trajectory] = []
     for chunk in _dispatch(simulator, tasks, total, processes, pool, telemetry):
@@ -738,7 +739,8 @@ def sample_parallel_batch(
     processes: int,
     chunk_size: Optional[int] = None,
     pool: Optional[SharedSimulationPool] = None,
-    telemetry: WorkerTelemetry = _SILENT,
+    progress: Optional[ProgressReporter] = None,
+    phase: str = "mc.run_parallel",
     use_shared_memory: Optional[bool] = None,
 ) -> TrajectoryBatch:
     """Like :func:`sample_parallel`, returning packed batch columns.
@@ -769,6 +771,7 @@ def sample_parallel_batch(
     """
     if pool is not None:
         processes = pool.processes
+    telemetry = _telemetry(simulator, processes, phase, progress)
     tasks, total = _tasks(simulator, seeds, processes, chunk_size, False, telemetry)
     horizon = simulator.config.horizon
     writer = None

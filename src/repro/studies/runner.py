@@ -238,33 +238,6 @@ class StudyRequest:
         )
         return FMTSimulator(self.tree, self.strategy, config=config)
 
-    def driver(self, simulator: Optional[FMTSimulator] = None) -> MonteCarlo:
-        """A fresh Monte Carlo driver for this request.
-
-        The driver starts from the root seed, so its child streams are
-        exactly those of the historical per-experiment code path.
-        ``simulator`` optionally passes a validated prototype (built by
-        :meth:`build_simulator` for the same request material) that the
-        driver clones instead of re-validating the tree — bit-identical
-        either way.
-        """
-        if simulator is not None:
-            return MonteCarlo(
-                seed=self.seed,
-                record_events=self.record_events,
-                simulator=simulator,
-            )
-        return MonteCarlo(
-            self.tree,
-            self.strategy,
-            horizon=self.horizon,
-            cost_model=self.cost_model,
-            seed=self.seed,
-            record_events=self.record_events,
-            kernel=self.kernel,
-            chunk_trajectories=self.chunk_trajectories,
-        )
-
 
 class StudyRunner:
     """Memoizing dispatcher for Monte Carlo studies.
@@ -428,7 +401,9 @@ class StudyRunner:
         """
 
         def compute() -> Tuple[Any, Dict[StudyKey, Any], int]:
-            driver = request.driver(simulator=self.prototype(request))
+            driver = MonteCarlo(
+                simulator=self.prototype(request), seed=request.seed
+            )
             result = driver.run_rare_event(
                 config, confidence=request.confidence, pool=self._pool
             )
@@ -460,13 +435,6 @@ class StudyRunner:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def cache_info(self) -> Dict[str, int]:
-        """Snapshot of the cache state (for tests and reports)."""
-        return {
-            "memo_entries": len(self._memo),
-            "disk_entries": len(self.disk) if self.disk is not None else 0,
-        }
 
     # ------------------------------------------------------------------
     # Internals
@@ -601,7 +569,9 @@ class StudyRunner:
     def _simulate(
         self, request: StudyRequest, keep_trajectories: bool
     ) -> MonteCarloResult:
-        driver = request.driver(simulator=self.prototype(request))
+        driver = MonteCarlo(
+            simulator=self.prototype(request), seed=request.seed
+        )
         if self._pool is not None:
             return driver.run_parallel(
                 request.n_runs,

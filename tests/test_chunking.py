@@ -113,7 +113,7 @@ def test_chunk_boundary_determinism():
         ]
     )
     _assert_batches_equal(result.batch, manual)
-    assert mc._streams_used == 3
+    assert mc._seed_sequence.n_children_spawned == 3
 
 
 def test_rerun_bit_identical():

@@ -149,7 +149,7 @@ def test_fanout_invariance(study, pools, runner):
 
     serial_driver = _mc(seed, chunk)
     serial = serial_driver.run(n_runs)
-    assert serial_driver._streams_used == k
+    assert serial_driver._seed_sequence.n_children_spawned == k
 
     processes = study["processes"]
     pool = pools.get(processes) if study["shared_pool"] else None
@@ -162,7 +162,7 @@ def test_fanout_invariance(study, pools, runner):
             n_runs, processes=processes, pool=pool, progress=progress
         )
     assert fanned.summary == serial.summary
-    assert driver._streams_used == k
+    assert driver._seed_sequence.n_children_spawned == k
 
     watched = _Collector()
     assert _mc(seed, chunk).run(n_runs, progress=watched).summary == (

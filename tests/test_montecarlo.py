@@ -197,3 +197,39 @@ def test_simulator_config_instrumentation_times_summarize(maintained_tree):
     timers = instrumentation.registry.to_dict()["timers"]
     assert TIMER_SIMULATE in timers
     assert TIMER_SUMMARIZE in timers
+
+
+@pytest.mark.parametrize(
+    "argument",
+    [
+        "tree",
+        "strategy",
+        "cost_model",
+        "horizon",
+        "record_events",
+        "instrumentation",
+        "kernel",
+        "chunk_trajectories",
+    ],
+)
+def test_prototype_driver_takes_no_model_or_config_argument(
+    maintained_tree, argument
+):
+    """A driver built from a prototype takes its model and configuration
+    from the prototype alone: each of these, given a value (even the
+    prototype's own), raises."""
+    config = SimulationConfig(horizon=5.0)
+    simulator = FMTSimulator(maintained_tree, config=config)
+    values = {
+        "tree": maintained_tree,
+        "strategy": MaintenanceStrategy.none(),
+        "cost_model": config.cost_model,
+        "horizon": config.horizon,
+        "record_events": True,
+        "instrumentation": Instrumentation(),
+        "kernel": config.kernel,
+        "chunk_trajectories": config.chunk_trajectories,
+    }
+    with pytest.raises(ValidationError, match="simulator= takes"):
+        MonteCarlo(simulator=simulator, seed=1, **{argument: values[argument]})
+    assert MonteCarlo(simulator=simulator, seed=1).horizon == 5.0

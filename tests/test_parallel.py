@@ -1,5 +1,6 @@
 """Parallel Monte Carlo: correctness and serial equivalence."""
 
+import hashlib
 import os
 import pickle
 
@@ -8,6 +9,8 @@ import pytest
 
 from repro.errors import SimulationError, ValidationError
 from repro.maintenance.strategy import MaintenanceStrategy
+from repro.observability import Instrumentation
+from repro.observability import instrumentation as obs
 from repro.simulation.executor import FMTSimulator
 from repro.simulation.montecarlo import MonteCarlo
 from repro.simulation.parallel import (
@@ -247,6 +250,43 @@ def test_worker_crash_raises_simulation_error():
     seeds = np.random.SeedSequence(0).spawn(8)
     with pytest.raises(SimulationError, match="worker process"):
         sample_parallel(_CrashingSimulator(), seeds, processes=2, chunk_size=2)
+
+
+def test_config_less_stand_in_crash_under_ambient_instrumentation():
+    """A stand-in with no ``config`` counts into no registry, so a
+    pooled run under an ambient one still ends in the pipeline's error,
+    not in a worker's failed registry swap."""
+    seeds = np.random.SeedSequence(0).spawn(8)
+    with obs.use(Instrumentation()):
+        with pytest.raises(SimulationError, match="worker process"):
+            sample_parallel(
+                _CrashingSimulator(), seeds, processes=2, chunk_size=2
+            )
+
+
+def test_pickled_simulator_ships_no_registry():
+    """An instrumented simulator pickles to the bytes of a plain one,
+    before and after its runs, so a pool task carries no registry and
+    workers keep one digest per simulator; ``clone()`` keeps it."""
+    from repro.eijoint.model import build_ei_joint_fmt
+    from repro.eijoint.strategies import current_policy
+
+    def pickles(instrumentation):
+        mc = MonteCarlo(
+            build_ei_joint_fmt(), current_policy(), horizon=10.0, seed=1,
+            instrumentation=instrumentation,
+        )
+        blobs = [pickle.dumps(mc.simulator)]
+        for _ in range(2):
+            mc.run(300)
+            blobs.append(pickle.dumps(mc.simulator))
+        assert mc.simulator.clone().config.instrumentation is instrumentation
+        return [(len(blob), hashlib.sha256(blob).hexdigest()) for blob in blobs]
+
+    instrumentation = Instrumentation()
+    assert pickles(instrumentation) == pickles(None)
+    counters = instrumentation.registry.to_dict()["counters"]
+    assert counters[obs.SIM_TRAJECTORIES] == 600
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import pickle
 import urllib.request
 from collections import Counter as TallyCounter
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -37,6 +38,7 @@ from repro.observability import spans as sp
 from repro.observability.exposition import CONTENT_TYPE, mangle_metric_name
 from repro.observability.progress import current_progress, tee
 from repro.simulation.montecarlo import MonteCarlo
+from repro.simulation.parallel import sample_parallel, sample_parallel_batch
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +362,54 @@ def test_in_process_run_parallel_reports_what_run_does(kernel):
     for _, _, gauges, names in (run, in_process):
         assert "worker.chunk" not in names
         assert not [n for n in gauges if n.startswith(obs.SIM_WORKER_PREFIX)]
+
+
+def _ei_joint_simulator():
+    from repro.eijoint.model import build_ei_joint_fmt
+    from repro.eijoint.strategies import current_policy
+    from repro.simulation.executor import FMTSimulator
+
+    return FMTSimulator(build_ei_joint_fmt(), current_policy(), horizon=10.0)
+
+
+@pytest.mark.parametrize(
+    "sample", [sample_parallel, sample_parallel_batch], ids=lambda f: f.__name__
+)
+def test_direct_pooled_call_counts_what_an_in_process_call_does(sample):
+    """A direct pipeline call takes the pipeline's telemetry rule: on a
+    pool, the workers' counters merge into the ambient registry."""
+    simulator = _ei_joint_simulator()
+
+    def counters(processes):
+        instrumentation = Instrumentation()
+        with obs.use(instrumentation):
+            sample(
+                simulator, np.random.SeedSequence(1).spawn(200),
+                processes=processes,
+            )
+        return {
+            key: value
+            for key, value in instrumentation.registry.to_dict()["counters"].items()
+            if key.startswith("sim.")
+        }
+
+    in_process = counters(1)
+    assert in_process[obs.SIM_TRAJECTORIES] == 200
+    assert counters(2) == in_process
+
+
+def test_direct_pooled_call_parents_its_chunks_to_the_ambient_span():
+    collector = SpanCollector()
+    with sp.use(collector), sp.span("caller"):
+        sample_parallel_batch(
+            _ei_joint_simulator(), np.random.SeedSequence(1).spawn(200),
+            processes=2,
+        )
+    (caller,) = [r for r in collector.records if r["name"] == "caller"]
+    chunks = [r for r in collector.records if r["name"] == "worker.chunk"]
+    assert chunks
+    assert all(c["parent_id"] == caller["span_id"] for c in chunks)
+    assert sum(c["attributes"]["n_trajectories"] for c in chunks) == 200
 
 
 def test_run_parallel_without_telemetry_unchanged(
